@@ -207,7 +207,7 @@ func funcSig(m *wasm.Module, name string) (wasm.FuncType, error) {
 	if !ok {
 		return wasm.FuncType{}, fmt.Errorf("no exported function %q", name)
 	}
-	return m.FuncType(idx)
+	return m.IndexSpace().FuncType(idx)
 }
 
 func fatal(format string, args ...any) {

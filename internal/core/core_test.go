@@ -407,3 +407,34 @@ func TestHookRegistryConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// TestModuleInfoMatchesModule pins buildModuleInfo's one-pass name and type
+// filling to Module.FuncName and the declared types, on a module whose
+// imports interleave functions and a global and whose name section names an
+// import and only some defined functions.
+func TestModuleInfoMatchesModule(t *testing.T) {
+	m := &wasm.Module{
+		Types: []wasm.FuncType{{}, {Params: []wasm.ValType{wasm.I32}}},
+		Imports: []wasm.Import{
+			{Module: "env", Name: "a", Kind: wasm.ExternFunc, TypeIdx: 1},
+			{Module: "env", Name: "g", Kind: wasm.ExternGlobal, Global: wasm.GlobalType{Type: wasm.I32}},
+			{Module: "env", Name: "b", Kind: wasm.ExternFunc, TypeIdx: 0},
+		},
+		Funcs:     []wasm.Func{{TypeIdx: 0}, {TypeIdx: 1}, {TypeIdx: 0}},
+		Globals:   []wasm.Global{{Type: wasm.GlobalType{Type: wasm.I64}}},
+		FuncNames: map[uint32]string{1: "renamed_import", 3: "named"},
+	}
+	info := buildModuleInfo(m, m.IndexSpace())
+	if info.NumImportedFuncs != 2 || info.NumGlobals != 2 || len(info.FuncNames) != 5 {
+		t.Fatalf("info = %d imported funcs, %d globals, %d names", info.NumImportedFuncs, info.NumGlobals, len(info.FuncNames))
+	}
+	wantTypes := []uint32{1, 0, 0, 1, 0}
+	for i := range info.FuncNames {
+		if want := m.FuncName(uint32(i)); info.FuncNames[i] != want {
+			t.Errorf("FuncNames[%d] = %q, want %q", i, info.FuncNames[i], want)
+		}
+		if !info.FuncTypes[i].Equal(m.Types[wantTypes[i]]) {
+			t.Errorf("FuncTypes[%d] = %s, want %s", i, info.FuncTypes[i], m.Types[wantTypes[i]])
+		}
+	}
+}

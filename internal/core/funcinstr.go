@@ -78,6 +78,7 @@ func (a *scratchAlloc) release() {
 // copies that escape into the instrumented module.
 type funcInstrumenter struct {
 	mod     *wasm.Module
+	ix      *wasm.IndexSpace // mod's index spaces, built once per Instrument run
 	hooks   *hookRegistry
 	set     analysis.HookSet
 	funcIdx int    // original function index
@@ -120,9 +121,10 @@ type funcInstrumenter struct {
 var instrPool = sync.Pool{New: func() any { return new(funcInstrumenter) }}
 
 // acquireInstrumenter prepares a pooled instrumenter for one run.
-func acquireInstrumenter(mod *wasm.Module, set analysis.HookSet, hooks *hookRegistry) *funcInstrumenter {
+func acquireInstrumenter(mod *wasm.Module, ix *wasm.IndexSpace, set analysis.HookSet, hooks *hookRegistry) *funcInstrumenter {
 	fi := instrPool.Get().(*funcInstrumenter)
 	fi.mod = mod
+	fi.ix = ix
 	fi.hooks = hooks
 	fi.set = set
 	fi.cache.reset(len(mod.Types)) // hook indices are per-run; never leak across runs
@@ -135,6 +137,7 @@ func acquireInstrumenter(mod *wasm.Module, set analysis.HookSet, hooks *hookRegi
 // grown buffers) to the pool.
 func releaseInstrumenter(fi *funcInstrumenter) {
 	fi.mod = nil
+	fi.ix = nil
 	fi.hooks = nil
 	fi.sig = wasm.FuncType{}
 	fi.body = nil
@@ -157,15 +160,15 @@ func (fi *funcInstrumenter) instrumentFunc(definedIdx int, isStart bool, brTable
 	if plan.skip(definedIdx) {
 		return copyUninstrumented(f.Body)
 	}
-	fi.funcIdx = fi.mod.NumImportedFuncs() + definedIdx
+	fi.funcIdx = fi.ix.NumImportedFuncs + definedIdx
 	fi.typeIdx = f.TypeIdx
 	fi.sig = fi.mod.Types[f.TypeIdx]
 	fi.body = f.Body
 	fi.brPool = f.BrTargets
 	if fi.tr == nil {
-		fi.tr = validate.NewTracker(fi.mod, fi.sig, f.Locals, f.BrTargets)
+		fi.tr = validate.NewTracker(fi.ix, fi.sig, f.Locals, f.BrTargets)
 	} else {
-		fi.tr.Reset(fi.mod, fi.sig, f.Locals, f.BrTargets)
+		fi.tr.Reset(fi.ix, fi.sig, f.Locals, f.BrTargets)
 	}
 	fi.scratch.reset(len(fi.sig.Params) + len(f.Locals))
 	if fi.out == nil {
@@ -568,7 +571,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd
 			fi.emitCall(in)
 			return nil
 		}
-		typeIdx, err := fi.mod.FuncTypeIdx(in.Idx)
+		typeIdx, err := fi.ix.FuncTypeIdx(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -641,7 +644,7 @@ func (fi *funcInstrumenter) instr(i int, in wasm.Instr, reachable bool, matchEnd
 			fi.emit(in)
 			return nil
 		}
-		gt, err := fi.mod.GlobalType(in.Idx)
+		gt, err := fi.ix.GlobalType(in.Idx)
 		if err != nil {
 			return err
 		}

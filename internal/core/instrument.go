@@ -67,8 +67,9 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 	}
 
 	out := copyModule(m)
-	numOldImports := m.NumImportedFuncs()
-	hooks := newHookRegistry(uint32(m.NumFuncs()))
+	ix := m.IndexSpace()
+	numOldImports := ix.NumImportedFuncs
+	hooks := newHookRegistry(uint32(ix.NumFuncs()))
 
 	// Pre-pass: assign deterministic br_table metadata index ranges per
 	// function so parallel workers need no coordination.
@@ -121,7 +122,7 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 	}
 	var next atomic.Int64
 	if par <= 1 {
-		fi := acquireInstrumenter(m, opts.Hooks, hooks)
+		fi := acquireInstrumenter(m, ix, opts.Hooks, hooks)
 		work(fi, &next)
 		releaseInstrumenter(fi)
 	} else {
@@ -130,7 +131,7 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				fi := acquireInstrumenter(m, opts.Hooks, hooks)
+				fi := acquireInstrumenter(m, ix, opts.Hooks, hooks)
 				work(fi, &next)
 				releaseInstrumenter(fi)
 			}()
@@ -167,7 +168,7 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 	// the end, which keeps all original import indices stable.
 	out.Imports = append(out.Imports, hookImports...)
 
-	base := uint32(m.NumFuncs())
+	base := uint32(ix.NumFuncs())
 	remap := func(idx uint32) uint32 {
 		switch {
 		case idx >= base: // hook placeholder
@@ -217,29 +218,44 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 		HookSet:          opts.Hooks,
 		NumImportedFuncs: numOldImports,
 		NumHooks:         k,
-		Info:             buildModuleInfo(m),
+		Info:             buildModuleInfo(m, ix),
 	}
 	return out, md, nil
 }
 
 // buildModuleInfo extracts the static module information analyses receive,
-// expressed in the ORIGINAL function index space.
-func buildModuleInfo(m *wasm.Module) analysis.ModuleInfo {
-	n := m.NumFuncs()
+// expressed in the ORIGINAL function index space. ix is m's index space.
+func buildModuleInfo(m *wasm.Module, ix *wasm.IndexSpace) analysis.ModuleInfo {
+	n := ix.NumFuncs()
 	info := analysis.ModuleInfo{
 		FuncTypes:        make([]wasm.FuncType, n),
 		FuncNames:        make([]string, n),
-		NumImportedFuncs: m.NumImportedFuncs(),
-		NumGlobals:       m.NumImportedGlobals() + len(m.Globals),
+		NumImportedFuncs: ix.NumImportedFuncs,
+		NumGlobals:       ix.NumGlobals(),
 		Exports:          make(map[string]uint32),
 		Start:            -1,
 	}
 	for i := 0; i < n; i++ {
-		ft, err := m.FuncType(uint32(i))
+		ft, err := ix.FuncType(uint32(i))
 		if err == nil {
 			info.FuncTypes[i] = ft
 		}
-		info.FuncNames[i] = m.FuncName(uint32(i))
+	}
+	// Names, as Module.FuncName gives them, in one pass over the imports: the
+	// name section first, then the import name, then a numeric placeholder.
+	fn := 0
+	for _, imp := range m.Imports {
+		if imp.Kind == wasm.ExternFunc {
+			info.FuncNames[fn] = imp.Module + "." + imp.Name
+			fn++
+		}
+	}
+	for i := range info.FuncNames {
+		if name, ok := m.FuncNames[uint32(i)]; ok {
+			info.FuncNames[i] = name
+		} else if i >= fn {
+			info.FuncNames[i] = fmt.Sprintf("func%d", i)
+		}
 	}
 	for _, e := range m.Exports {
 		if e.Kind == wasm.ExternFunc {

@@ -39,6 +39,8 @@ package interp
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"wasabi/internal/wasm"
 )
@@ -217,7 +219,7 @@ func (fr *cframe) branchArity() int {
 }
 
 type compiler struct {
-	m        *wasm.Module
+	ix       *wasm.IndexSpace // the module's index spaces, resolved once per instantiation
 	f        *wasm.Func
 	hosts    []*HostFunc // resolved imported functions, indexed by function index
 	nLocals  int         // params + declared locals
@@ -241,20 +243,39 @@ type compiler struct {
 	guardCost uint32 // source instructions charged to the pending guard
 }
 
+// compileBuffers are the growable outputs of the compile pass. Each body is
+// lowered into them and copied out at its exact length, so a function pays
+// neither regrowth nor the slack that fusion leaves behind. They are pooled,
+// so a module with one large function, or a run of small modules, reuses
+// them too.
+type compileBuffers struct {
+	code   []instr
+	brPool []brEntry
+}
+
+var compileBufPool = sync.Pool{New: func() any { return new(compileBuffers) }}
+
 // compileFunc lowers one function body into the threaded-code form. It
 // rejects structurally broken bodies (unbalanced control, operand underflow,
 // out-of-range indices), so a malformed module fails at instantiation
-// instead of corrupting the interpreter mid-run. hosts is the resolved
-// imported-function vector (may be nil when compiling without an instance);
-// it lets the pass pick the Fast host-call convention and elide calls to
-// no-op hooks together with their argument lowering.
-func compileFunc(m *wasm.Module, sig wasm.FuncType, f *wasm.Func, hosts []*HostFunc, cfg *Config) (*compiledFunc, error) {
+// instead of corrupting the interpreter mid-run. ix is the module's index
+// space. hosts is the resolved imported-function vector (may be nil when
+// compiling without an instance); it lets the pass pick the Fast host-call
+// convention and elide calls to no-op hooks together with their argument
+// lowering.
+func compileFunc(ix *wasm.IndexSpace, sig wasm.FuncType, f *wasm.Func, hosts []*HostFunc, cfg *Config, buf *compileBuffers) (*compiledFunc, error) {
+	// Lowering emits at most one instruction per source instruction (plus a
+	// guard per basic block when guarded) and fusion only shrinks the code,
+	// so the body length is a close capacity.
 	c := &compiler{
-		m: m, f: f, hosts: hosts,
+		ix: ix, f: f, hosts: hosts,
 		nLocals:  len(sig.Params) + len(f.Locals),
 		guarded:  cfg.Guarded,
 		guardIdx: -1,
+		code:     slices.Grow(buf.code[:0], len(f.Body)),
+		brPool:   slices.Grow(buf.brPool[:0], len(f.BrTargets)),
 	}
+	defer func() { buf.code, buf.brPool = c.code, c.brPool }()
 	c.ctrl = append(c.ctrl, cframe{op: wasm.OpCall, arity: len(sig.Results), elseJump: -1})
 	for pc := range f.Body {
 		c.srcPC = pc
@@ -272,8 +293,8 @@ func compileFunc(m *wasm.Module, sig wasm.FuncType, f *wasm.Func, hosts []*HostF
 		sig:       sig,
 		numParams: len(sig.Params),
 		numLocals: len(sig.Params) + len(f.Locals),
-		code:      c.code,
-		brPool:    c.brPool,
+		code:      append([]instr(nil), c.code...),
+		brPool:    append([]brEntry(nil), c.brPool...),
 		maxStack:  c.maxStack,
 	}, nil
 }
@@ -430,7 +451,7 @@ func (c *compiler) step(in wasm.Instr) error {
 		c.markDead()
 
 	case wasm.OpCall:
-		ft, err := c.m.FuncType(in.Idx)
+		ft, err := c.ix.FuncType(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -444,7 +465,7 @@ func (c *compiler) step(in wasm.Instr) error {
 		// hooks are not called at all — their argument lowering is unwound —
 		// and Fast-convention hooks get the zero-copy stack-window opcode.
 		callOp := iCall
-		if int(in.Idx) < c.m.NumImportedFuncs() {
+		if int(in.Idx) < c.ix.NumImportedFuncs {
 			callOp = iCallHost
 			if int(in.Idx) < len(c.hosts) && c.hosts[in.Idx] != nil && len(ft.Results) == 0 {
 				hf := c.hosts[in.Idx]
@@ -464,10 +485,10 @@ func (c *compiler) step(in wasm.Instr) error {
 		}
 		c.emit(instr{op: callOp, a: in.Idx, b: uint32(len(ft.Params))})
 	case wasm.OpCallIndirect:
-		if int(in.Idx) >= len(c.m.Types) {
+		if int(in.Idx) >= len(c.ix.Types) {
 			return fmt.Errorf("call_indirect type index %d out of range", in.Idx)
 		}
-		ft := c.m.Types[in.Idx]
+		ft := c.ix.Types[in.Idx]
 		if err := c.popN(1 + len(ft.Params)); err != nil {
 			return fmt.Errorf("call_indirect: %w", err)
 		}
@@ -548,13 +569,13 @@ func (c *compiler) step(in wasm.Instr) error {
 		}
 		c.emit(instr{op: iLocalTee, a: in.Idx})
 	case wasm.OpGlobalGet:
-		if _, err := c.m.GlobalType(in.Idx); err != nil {
+		if _, err := c.ix.GlobalType(in.Idx); err != nil {
 			return err
 		}
 		c.push(1)
 		c.emit(instr{op: iGlobalGet, a: in.Idx})
 	case wasm.OpGlobalSet:
-		if _, err := c.m.GlobalType(in.Idx); err != nil {
+		if _, err := c.ix.GlobalType(in.Idx); err != nil {
 			return err
 		}
 		if err := c.popN(1); err != nil {

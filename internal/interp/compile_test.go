@@ -226,7 +226,9 @@ func TestDropPeepholes(t *testing.T) {
 }
 
 // TestMalformedBodiesRejected: structurally broken bodies fail at
-// instantiation, not by corrupting the interpreter at run time.
+// instantiation, not by corrupting the interpreter at run time. The module
+// is not validated first, so the compile pass's own index checks are what
+// reject out-of-range call and global indices.
 func TestMalformedBodiesRejected(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -237,6 +239,11 @@ func TestMalformedBodiesRejected(t *testing.T) {
 		{"bad branch depth", func(f *builder.FuncBuilder) { f.Br(3) }},
 		{"bad local", func(f *builder.FuncBuilder) { f.Get(99).Drop() }},
 		{"else without if", func(f *builder.FuncBuilder) { f.Block().Else().End() }},
+		// f is the module's only function, so index 1 is NumFuncs.
+		{"call past function space", func(f *builder.FuncBuilder) { f.Call(1) }},
+		{"call max index", func(f *builder.FuncBuilder) { f.Call(^uint32(0)) }},
+		{"global.get out of range", func(f *builder.FuncBuilder) { f.GGet(0).Drop() }},
+		{"global.set out of range", func(f *builder.FuncBuilder) { f.I32(0).GSet(0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,7 +251,7 @@ func TestMalformedBodiesRejected(t *testing.T) {
 			f := b.Func("f", nil, nil)
 			tc.build(f)
 			f.Done()
-			if _, err := interp.Instantiate(b.Build(), nil); err == nil {
+			if _, err := interp.InstantiateWith(nil, "", b.Build(), nil, interp.Config{}); err == nil {
 				t.Error("expected instantiation error")
 			}
 		})

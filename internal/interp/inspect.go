@@ -15,15 +15,18 @@ import (
 // equal to the interpreter's own height tracking, and for inspection tooling.
 func StackHighWater(m *wasm.Module) ([]int, error) {
 	cfg := Config{}
+	ix := m.IndexSpace()
+	buf := compileBufPool.Get().(*compileBuffers)
+	defer compileBufPool.Put(buf)
 	out := make([]int, len(m.Funcs))
 	for di := range m.Funcs {
 		f := &m.Funcs[di]
 		if int(f.TypeIdx) >= len(m.Types) {
-			return nil, fmt.Errorf("interp: func %d: type index %d out of range", m.NumImportedFuncs()+di, f.TypeIdx)
+			return nil, fmt.Errorf("interp: func %d: type index %d out of range", ix.NumImportedFuncs+di, f.TypeIdx)
 		}
-		cf, err := compileFunc(m, m.Types[f.TypeIdx], f, nil, &cfg)
+		cf, err := compileFunc(ix, m.Types[f.TypeIdx], f, nil, &cfg, buf)
 		if err != nil {
-			return nil, fmt.Errorf("interp: func %d: %w", m.NumImportedFuncs()+di, err)
+			return nil, fmt.Errorf("interp: func %d: %w", ix.NumImportedFuncs+di, err)
 		}
 		out[di] = cf.maxStack
 	}

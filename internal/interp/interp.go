@@ -289,12 +289,15 @@ func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports
 	for i := range inst.funcs {
 		hosts[i] = inst.funcs[i].host
 	}
+	ix := m.IndexSpace()
+	buf := compileBufPool.Get().(*compileBuffers)
+	defer compileBufPool.Put(buf)
 	for i := range m.Funcs {
 		f := &m.Funcs[i]
 		if int(f.TypeIdx) >= len(m.Types) {
 			return nil, fmt.Errorf("interp: function %d type index out of range", i)
 		}
-		cf, err := compileFunc(m, m.Types[f.TypeIdx], f, hosts, &cfg)
+		cf, err := compileFunc(ix, m.Types[f.TypeIdx], f, hosts, &cfg, buf)
 		if err != nil {
 			return nil, fmt.Errorf("interp: function %d: %w", i, err)
 		}

@@ -545,12 +545,31 @@ func (inst *Instance) funcParams(idx uint32) int {
 	return len(inst.funcType(idx).Params)
 }
 
+// funcType resolves idx by its own scan of the imports: the reference
+// shares no index-resolution code with the production engine.
 func (inst *Instance) funcType(idx uint32) wasm.FuncType {
-	ft, err := inst.Module.FuncType(idx)
-	if err != nil {
-		trapf(TrapUndefinedElement, "%v", err)
+	m := inst.Module
+	ti, i, found := uint32(0), idx, false
+	for _, imp := range m.Imports {
+		if imp.Kind != wasm.ExternFunc {
+			continue
+		}
+		if i == 0 {
+			ti, found = imp.TypeIdx, true
+			break
+		}
+		i--
 	}
-	return ft
+	if !found {
+		if int(i) >= len(m.Funcs) {
+			trapf(TrapUndefinedElement, "wasm: function index %d out of range (have %d)", idx, m.NumFuncs())
+		}
+		ti = m.Funcs[i].TypeIdx
+	}
+	if int(ti) >= len(m.Types) {
+		trapf(TrapUndefinedElement, "wasm: type index %d out of range (have %d)", ti, len(m.Types))
+	}
+	return m.Types[ti]
 }
 
 // memGrow implements memory.grow under the same ceiling rules as the

@@ -26,12 +26,13 @@ type ModuleAnalysis struct {
 // assumes a structurally decodable module but not a validated one: malformed
 // bodies fail with positioned errors, never panics.
 func Analyze(m *wasm.Module) (*ModuleAnalysis, error) {
-	cg, err := BuildCallGraph(m)
+	ix := m.IndexSpace()
+	cg, err := BuildCallGraph(m, ix)
 	if err != nil {
 		return nil, err
 	}
 	ma := &ModuleAnalysis{Mod: m, Graph: cg, Funcs: make([]FuncAnalysis, len(m.Funcs))}
-	numImports := m.NumImportedFuncs()
+	numImports := ix.NumImportedFuncs
 	for di := range m.Funcs {
 		f := &m.Funcs[di]
 		if int(f.TypeIdx) >= len(m.Types) {
@@ -41,7 +42,7 @@ func Analyze(m *wasm.Module) (*ModuleAnalysis, error) {
 		if err != nil {
 			return nil, fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}
-		facts, err := FuncDataflow(m, m.Types[f.TypeIdx], f, g)
+		facts, err := FuncDataflow(ix, m.Types[f.TypeIdx], f, g)
 		if err != nil {
 			return nil, fmt.Errorf("static: func %d: %w", numImports+di, err)
 		}

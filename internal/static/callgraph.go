@@ -32,10 +32,11 @@ type CallGraph struct {
 }
 
 // BuildCallGraph computes the call graph and its reachability from
-// exports/start. Malformed call instructions surface as errors.
-func BuildCallGraph(m *wasm.Module) (*CallGraph, error) {
-	n := m.NumFuncs()
-	numImports := m.NumImportedFuncs()
+// exports/start. ix is m's index space. Malformed call instructions surface
+// as errors.
+func BuildCallGraph(m *wasm.Module, ix *wasm.IndexSpace) (*CallGraph, error) {
+	n := ix.NumFuncs()
+	numImports := ix.NumImportedFuncs
 	cg := &CallGraph{
 		Callees:       make([][]uint32, n),
 		IndirectSites: make([][]int, n),
@@ -59,14 +60,21 @@ func BuildCallGraph(m *wasm.Module) (*CallGraph, error) {
 	}
 	sort.Slice(cg.TableFuncs, func(a, b int) bool { return cg.TableFuncs[a] < cg.TableFuncs[b] })
 
+	// The candidates of a call_indirect depend only on its type index, so
+	// they are computed once per type index on first use.
+	candidates := make([][]uint32, len(m.Types))
+	resolved := make([]bool, len(m.Types))
 	matchingTableFuncs := func(ti uint32) ([]uint32, error) {
 		if int(ti) >= len(m.Types) {
 			return nil, fmt.Errorf("call_indirect type index %d out of range", ti)
 		}
+		if resolved[ti] {
+			return candidates[ti], nil
+		}
 		want := m.Types[ti]
 		var out []uint32
 		for _, f := range cg.TableFuncs {
-			ft, err := m.FuncType(f)
+			ft, err := ix.FuncType(f)
 			if err != nil {
 				return nil, err
 			}
@@ -74,12 +82,15 @@ func BuildCallGraph(m *wasm.Module) (*CallGraph, error) {
 				out = append(out, f)
 			}
 		}
+		candidates[ti], resolved[ti] = out, true
 		return out, nil
 	}
 
+	// seen marks the current caller's callees; it is cleared through the
+	// callee list after each caller, so one slice serves every caller.
+	seen := make([]bool, n)
 	for di := range m.Funcs {
 		caller := uint32(numImports + di)
-		seen := map[uint32]bool{}
 		var callees []uint32
 		add := func(f uint32) {
 			if !seen[f] {
@@ -104,6 +115,9 @@ func BuildCallGraph(m *wasm.Module) (*CallGraph, error) {
 					add(t)
 				}
 			}
+		}
+		for _, f := range callees {
+			seen[f] = false
 		}
 		sort.Slice(callees, func(a, b int) bool { return callees[a] < callees[b] })
 		cg.Callees[caller] = callees

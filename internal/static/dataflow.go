@@ -99,7 +99,7 @@ func (fr *dfFrame) branchArity() int {
 // simulating pushes inside unreachable code, so its high-water can exceed
 // the stack the compiled function actually needs.
 type stackSim struct {
-	m        *wasm.Module
+	ix       *wasm.IndexSpace
 	nLocals  int
 	ctrl     []dfFrame
 	height   int
@@ -250,7 +250,7 @@ func (c *stackSim) step(in wasm.Instr, f *wasm.Func) error {
 		c.markDead()
 
 	case wasm.OpCall:
-		ft, err := c.m.FuncType(in.Idx)
+		ft, err := c.ix.FuncType(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -259,10 +259,10 @@ func (c *stackSim) step(in wasm.Instr, f *wasm.Func) error {
 		}
 		c.push(len(ft.Results))
 	case wasm.OpCallIndirect:
-		if int(in.Idx) >= len(c.m.Types) {
+		if int(in.Idx) >= len(c.ix.Types) {
 			return fmt.Errorf("call_indirect type index %d out of range", in.Idx)
 		}
-		ft := c.m.Types[in.Idx]
+		ft := c.ix.Types[in.Idx]
 		if err := c.popN(1 + len(ft.Params)); err != nil {
 			return fmt.Errorf("call_indirect: %w", err)
 		}
@@ -299,12 +299,12 @@ func (c *stackSim) step(in wasm.Instr, f *wasm.Func) error {
 		}
 		c.push(1)
 	case wasm.OpGlobalGet:
-		if _, err := c.m.GlobalType(in.Idx); err != nil {
+		if _, err := c.ix.GlobalType(in.Idx); err != nil {
 			return err
 		}
 		c.push(1)
 	case wasm.OpGlobalSet:
-		if _, err := c.m.GlobalType(in.Idx); err != nil {
+		if _, err := c.ix.GlobalType(in.Idx); err != nil {
 			return err
 		}
 		if err := c.popN(1); err != nil {
@@ -371,8 +371,9 @@ func (c *stackSim) checkLocal(idx uint32) error {
 }
 
 // FuncDataflow runs the stack-height simulation and local-liveness analysis
-// over one function body, attributing per-block facts through the CFG.
-func FuncDataflow(m *wasm.Module, sig wasm.FuncType, f *wasm.Func, g *CFG) (*FuncFacts, error) {
+// over one function body, attributing per-block facts through the CFG. ix is
+// the index space of the module f belongs to.
+func FuncDataflow(ix *wasm.IndexSpace, sig wasm.FuncType, f *wasm.Func, g *CFG) (*FuncFacts, error) {
 	nLocals := len(sig.Params) + len(f.Locals)
 	nb := len(g.Blocks)
 	ff := &FuncFacts{
@@ -392,7 +393,7 @@ func FuncDataflow(m *wasm.Module, sig wasm.FuncType, f *wasm.Func, g *CFG) (*Fun
 		ff.LiveOut[b] = newBitSet(nLocals)
 	}
 
-	sim := &stackSim{m: m, nLocals: nLocals}
+	sim := &stackSim{ix: ix, nLocals: nLocals}
 	sim.ctrl = append(sim.ctrl, dfFrame{op: wasm.OpCall, arity: len(sig.Results)})
 	for pc, in := range f.Body {
 		b := g.blockAt[pc]

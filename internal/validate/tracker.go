@@ -40,7 +40,7 @@ func (f *ControlFrame) LabelTypes() []wasm.ValType {
 
 // Tracker type-checks one function body instruction by instruction.
 type Tracker struct {
-	mod       *wasm.Module
+	ix        *wasm.IndexSpace
 	locals    []wasm.ValType // params followed by declared locals
 	brTargets []uint32       // the function's br_table target pool
 	vals      []wasm.ValType
@@ -49,11 +49,13 @@ type Tracker struct {
 
 // NewTracker prepares type checking of a function with the given signature
 // and declared locals. The implicit function frame is pushed immediately.
-// The brTargets pool is the function's br_table target pool (Func.BrTargets),
-// needed to type-check br_table instructions.
-func NewTracker(mod *wasm.Module, sig wasm.FuncType, locals []wasm.ValType, brTargets []uint32) *Tracker {
+// ix is the index space of the module the function belongs to (built once
+// per module, see wasm.Module.IndexSpace). The brTargets pool is the
+// function's br_table target pool (Func.BrTargets), needed to type-check
+// br_table instructions.
+func NewTracker(ix *wasm.IndexSpace, sig wasm.FuncType, locals []wasm.ValType, brTargets []uint32) *Tracker {
 	t := &Tracker{}
-	t.Reset(mod, sig, locals, brTargets)
+	t.Reset(ix, sig, locals, brTargets)
 	return t
 }
 
@@ -61,8 +63,8 @@ func NewTracker(mod *wasm.Module, sig wasm.FuncType, locals []wasm.ValType, brTa
 // locals, value-stack, and control-stack buffers. This keeps per-function
 // type tracking allocation-free when a tracker is reused across the many
 // functions of one instrumentation run.
-func (t *Tracker) Reset(mod *wasm.Module, sig wasm.FuncType, locals []wasm.ValType, brTargets []uint32) {
-	t.mod = mod
+func (t *Tracker) Reset(ix *wasm.IndexSpace, sig wasm.FuncType, locals []wasm.ValType, brTargets []uint32) {
+	t.ix = ix
 	t.locals = append(t.locals[:0], sig.Params...)
 	t.locals = append(t.locals, locals...)
 	t.brTargets = brTargets
@@ -71,12 +73,12 @@ func (t *Tracker) Reset(mod *wasm.Module, sig wasm.FuncType, locals []wasm.ValTy
 	t.pushCtrl(wasm.OpCall, nil, sig.Results)
 }
 
-// Clear drops every module-derived reference (module, locals, br_table
+// Clear drops every module-derived reference (index space, locals, br_table
 // pool, control-frame type slices) while keeping buffer capacity, so a
 // pooled tracker does not keep a finished module reachable. Reset must be
 // called before the tracker is used again.
 func (t *Tracker) Clear() {
-	t.mod = nil
+	t.ix = nil
 	t.brTargets = nil
 	t.locals = t.locals[:0]
 	t.vals = t.vals[:0]
@@ -307,7 +309,7 @@ func (t *Tracker) Step(in wasm.Instr) error {
 		t.markUnreachable()
 
 	case wasm.OpCall:
-		ft, err := t.mod.FuncType(in.Idx)
+		ft, err := t.ix.FuncType(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -316,16 +318,16 @@ func (t *Tracker) Step(in wasm.Instr) error {
 		}
 		t.pushMany(ft.Results)
 	case wasm.OpCallIndirect:
-		if len(t.mod.Tables) == 0 && !hasImportedTable(t.mod) {
+		if !t.ix.HasTable {
 			return fmt.Errorf("validate: call_indirect requires a table")
 		}
-		if int(in.Idx) >= len(t.mod.Types) {
+		if int(in.Idx) >= len(t.ix.Types) {
 			return fmt.Errorf("validate: call_indirect type index %d out of range", in.Idx)
 		}
 		if _, err := t.popExpect(wasm.I32); err != nil {
 			return fmt.Errorf("validate: call_indirect table index: %w", err)
 		}
-		ft := t.mod.Types[in.Idx]
+		ft := t.ix.Types[in.Idx]
 		if err := t.popMany(ft.Params); err != nil {
 			return fmt.Errorf("validate: call_indirect: %w", err)
 		}
@@ -380,13 +382,13 @@ func (t *Tracker) Step(in wasm.Instr) error {
 		}
 		t.pushVal(lt)
 	case wasm.OpGlobalGet:
-		gt, err := t.mod.GlobalType(in.Idx)
+		gt, err := t.ix.GlobalType(in.Idx)
 		if err != nil {
 			return err
 		}
 		t.pushVal(gt.Type)
 	case wasm.OpGlobalSet:
-		gt, err := t.mod.GlobalType(in.Idx)
+		gt, err := t.ix.GlobalType(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -473,7 +475,7 @@ func (t *Tracker) Step(in wasm.Instr) error {
 }
 
 func (t *Tracker) requireMemory() error {
-	if len(t.mod.Memories) > 0 || hasImportedMemory(t.mod) {
+	if t.ix.HasMemory {
 		return nil
 	}
 	return fmt.Errorf("validate: memory instruction without a memory")
@@ -489,22 +491,4 @@ func checkAlign(align, size uint32, op wasm.Opcode) error {
 		return fmt.Errorf("validate: %s alignment 2^%d exceeds natural alignment %d", op, align, size)
 	}
 	return nil
-}
-
-func hasImportedTable(m *wasm.Module) bool {
-	for _, imp := range m.Imports {
-		if imp.Kind == wasm.ExternTable {
-			return true
-		}
-	}
-	return false
-}
-
-func hasImportedMemory(m *wasm.Module) bool {
-	for _, imp := range m.Imports {
-		if imp.Kind == wasm.ExternMemory {
-			return true
-		}
-	}
-	return false
 }

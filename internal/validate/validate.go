@@ -10,6 +10,7 @@ import (
 // constant expressions, and the type-correctness of every function body.
 // It plays the role wasm-validate plays in the paper's RQ2 evaluation.
 func Module(m *wasm.Module) error {
+	ix := m.IndexSpace()
 	if err := checkTypes(m); err != nil {
 		return err
 	}
@@ -19,24 +20,24 @@ func Module(m *wasm.Module) error {
 	if err := checkTablesAndMemories(m); err != nil {
 		return err
 	}
-	if err := checkGlobals(m); err != nil {
+	if err := checkGlobals(m, ix); err != nil {
 		return err
 	}
-	if err := checkExports(m); err != nil {
+	if err := checkExports(m, ix); err != nil {
 		return err
 	}
-	if err := checkStart(m); err != nil {
+	if err := checkStart(m, ix); err != nil {
 		return err
 	}
-	if err := checkElems(m); err != nil {
+	if err := checkElems(m, ix); err != nil {
 		return err
 	}
-	if err := checkDatas(m); err != nil {
+	if err := checkDatas(m, ix); err != nil {
 		return err
 	}
 	for i := range m.Funcs {
-		if err := checkFunc(m, i); err != nil {
-			idx := m.NumImportedFuncs() + i
+		if err := checkFunc(m, ix, i); err != nil {
+			idx := ix.NumImportedFuncs + i
 			return annotateFunc(err, idx, m.FuncName(uint32(idx)))
 		}
 	}
@@ -45,7 +46,7 @@ func Module(m *wasm.Module) error {
 
 // Func validates a single defined function body.
 func Func(m *wasm.Module, definedIdx int) error {
-	return checkFunc(m, definedIdx)
+	return checkFunc(m, m.IndexSpace(), definedIdx)
 }
 
 func checkTypes(m *wasm.Module) error {
@@ -107,9 +108,9 @@ func checkTablesAndMemories(m *wasm.Module) error {
 	return nil
 }
 
-func checkGlobals(m *wasm.Module) error {
+func checkGlobals(m *wasm.Module, ix *wasm.IndexSpace) error {
 	for i, g := range m.Globals {
-		t, err := constExprType(m, g.Init, true)
+		t, err := constExprType(ix, g.Init, true)
 		if err != nil {
 			return fmt.Errorf("validate: global %d init: %w", i, err)
 		}
@@ -120,7 +121,7 @@ func checkGlobals(m *wasm.Module) error {
 	return nil
 }
 
-func checkExports(m *wasm.Module) error {
+func checkExports(m *wasm.Module, ix *wasm.IndexSpace) error {
 	seen := make(map[string]bool, len(m.Exports))
 	for _, e := range m.Exports {
 		if seen[e.Name] {
@@ -129,11 +130,11 @@ func checkExports(m *wasm.Module) error {
 		seen[e.Name] = true
 		switch e.Kind {
 		case wasm.ExternFunc:
-			if int(e.Idx) >= m.NumFuncs() {
+			if int(e.Idx) >= ix.NumFuncs() {
 				return fmt.Errorf("validate: export %q: function index %d out of range", e.Name, e.Idx)
 			}
 		case wasm.ExternGlobal:
-			if _, err := m.GlobalType(e.Idx); err != nil {
+			if _, err := ix.GlobalType(e.Idx); err != nil {
 				return fmt.Errorf("validate: export %q: %w", e.Name, err)
 			}
 		case wasm.ExternTable, wasm.ExternMemory:
@@ -146,11 +147,11 @@ func checkExports(m *wasm.Module) error {
 	return nil
 }
 
-func checkStart(m *wasm.Module) error {
+func checkStart(m *wasm.Module, ix *wasm.IndexSpace) error {
 	if m.Start == nil {
 		return nil
 	}
-	ft, err := m.FuncType(*m.Start)
+	ft, err := ix.FuncType(*m.Start)
 	if err != nil {
 		return fmt.Errorf("validate: start: %w", err)
 	}
@@ -160,12 +161,12 @@ func checkStart(m *wasm.Module) error {
 	return nil
 }
 
-func checkElems(m *wasm.Module) error {
+func checkElems(m *wasm.Module, ix *wasm.IndexSpace) error {
 	for i, e := range m.Elems {
 		if e.TableIdx != 0 {
 			return fmt.Errorf("validate: elem %d: table index %d out of range", i, e.TableIdx)
 		}
-		t, err := constExprType(m, e.Offset, true)
+		t, err := constExprType(ix, e.Offset, true)
 		if err != nil {
 			return fmt.Errorf("validate: elem %d offset: %w", i, err)
 		}
@@ -173,7 +174,7 @@ func checkElems(m *wasm.Module) error {
 			return fmt.Errorf("validate: elem %d offset must be i32, is %s", i, t)
 		}
 		for _, f := range e.Funcs {
-			if int(f) >= m.NumFuncs() {
+			if int(f) >= ix.NumFuncs() {
 				return fmt.Errorf("validate: elem %d references function %d out of range", i, f)
 			}
 		}
@@ -181,12 +182,12 @@ func checkElems(m *wasm.Module) error {
 	return nil
 }
 
-func checkDatas(m *wasm.Module) error {
+func checkDatas(m *wasm.Module, ix *wasm.IndexSpace) error {
 	for i, d := range m.Datas {
 		if d.MemIdx != 0 {
 			return fmt.Errorf("validate: data %d: memory index %d out of range", i, d.MemIdx)
 		}
-		t, err := constExprType(m, d.Offset, true)
+		t, err := constExprType(ix, d.Offset, true)
 		if err != nil {
 			return fmt.Errorf("validate: data %d offset: %w", i, err)
 		}
@@ -200,7 +201,7 @@ func checkDatas(m *wasm.Module) error {
 // constExprType checks a constant expression and returns its result type.
 // Constant expressions are a single const or global.get of an (imported,
 // immutable) global, terminated by end.
-func constExprType(m *wasm.Module, expr []wasm.Instr, importedOnly bool) (wasm.ValType, error) {
+func constExprType(ix *wasm.IndexSpace, expr []wasm.Instr, importedOnly bool) (wasm.ValType, error) {
 	if len(expr) != 2 || expr[1].Op != wasm.OpEnd {
 		return 0, fmt.Errorf("must be a single constant instruction followed by end")
 	}
@@ -215,10 +216,10 @@ func constExprType(m *wasm.Module, expr []wasm.Instr, importedOnly bool) (wasm.V
 	case wasm.OpF64Const:
 		return wasm.F64, nil
 	case wasm.OpGlobalGet:
-		if importedOnly && int(in.Idx) >= m.NumImportedGlobals() {
+		if importedOnly && int(in.Idx) >= ix.NumImportedGlobals {
 			return 0, fmt.Errorf("global.get in constant expression may only reference imported globals")
 		}
-		gt, err := m.GlobalType(in.Idx)
+		gt, err := ix.GlobalType(in.Idx)
 		if err != nil {
 			return 0, err
 		}
@@ -230,13 +231,13 @@ func constExprType(m *wasm.Module, expr []wasm.Instr, importedOnly bool) (wasm.V
 	return 0, fmt.Errorf("non-constant instruction %s", in.Op)
 }
 
-func checkFunc(m *wasm.Module, defined int) error {
+func checkFunc(m *wasm.Module, ix *wasm.IndexSpace, defined int) error {
 	f := &m.Funcs[defined]
 	if int(f.TypeIdx) >= len(m.Types) {
 		return fmt.Errorf("validate: type index %d out of range", f.TypeIdx)
 	}
 	sig := m.Types[f.TypeIdx]
-	tr := NewTracker(m, sig, f.Locals, f.BrTargets)
+	tr := NewTracker(ix, sig, f.Locals, f.BrTargets)
 	for i := range f.Body {
 		if name, proposal, ok := wasm.UnsupportedInfo(f.Body[i]); ok {
 			return &Error{FuncIdx: -1, Instr: i, Op: f.Body[i].Op,

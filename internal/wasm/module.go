@@ -112,54 +112,92 @@ func (m *Module) NumImportedGlobals() int {
 // NumFuncs returns the total size of the function index space.
 func (m *Module) NumFuncs() int { return m.NumImportedFuncs() + len(m.Funcs) }
 
-// FuncTypeIdx returns the type index of the function at the given index in
-// the function index space (imports first, then defined functions).
-func (m *Module) FuncTypeIdx(funcIdx uint32) (uint32, error) {
-	i := funcIdx
-	for _, imp := range m.Imports {
-		if imp.Kind != ExternFunc {
-			continue
-		}
-		if i == 0 {
-			return imp.TypeIdx, nil
-		}
-		i--
+// IndexSpace is a module's function and global index spaces (imports first,
+// then definitions) resolved in one pass over the imports, so that resolving
+// an index is a bounds check and a slice load instead of a scan of the
+// import vector. Passes that resolve indices per instruction (validation,
+// instrumentation, static analysis, the interpreter's compile pass) build it
+// once at their start.
+//
+// It is a snapshot: it reflects the module's types, imports, functions and
+// globals when IndexSpace was called, and must not be used on a module that
+// has been mutated since.
+type IndexSpace struct {
+	Types              []FuncType // the type section at build time
+	NumImportedFuncs   int
+	NumImportedGlobals int
+	HasTable           bool // a table is imported or defined
+	HasMemory          bool // a memory is imported or defined
+
+	funcTypes []uint32     // type index per function index
+	globals   []GlobalType // type per global index
+}
+
+// IndexSpace resolves m's function and global index spaces.
+func (m *Module) IndexSpace() *IndexSpace {
+	ix := &IndexSpace{
+		Types:     m.Types,
+		HasTable:  len(m.Tables) > 0,
+		HasMemory: len(m.Memories) > 0,
+		funcTypes: make([]uint32, 0, len(m.Imports)+len(m.Funcs)),
+		globals:   make([]GlobalType, 0, len(m.Globals)),
 	}
-	if int(i) < len(m.Funcs) {
-		return m.Funcs[i].TypeIdx, nil
+	for i := range m.Imports {
+		imp := &m.Imports[i]
+		switch imp.Kind {
+		case ExternFunc:
+			ix.funcTypes = append(ix.funcTypes, imp.TypeIdx)
+		case ExternGlobal:
+			ix.globals = append(ix.globals, imp.Global)
+		case ExternTable:
+			ix.HasTable = true
+		case ExternMemory:
+			ix.HasMemory = true
+		}
 	}
-	return 0, fmt.Errorf("wasm: function index %d out of range (have %d)", funcIdx, m.NumFuncs())
+	ix.NumImportedFuncs = len(ix.funcTypes)
+	ix.NumImportedGlobals = len(ix.globals)
+	for i := range m.Funcs {
+		ix.funcTypes = append(ix.funcTypes, m.Funcs[i].TypeIdx)
+	}
+	for i := range m.Globals {
+		ix.globals = append(ix.globals, m.Globals[i].Type)
+	}
+	return ix
+}
+
+// NumFuncs returns the size of the function index space.
+func (ix *IndexSpace) NumFuncs() int { return len(ix.funcTypes) }
+
+// NumGlobals returns the size of the global index space.
+func (ix *IndexSpace) NumGlobals() int { return len(ix.globals) }
+
+// FuncTypeIdx returns the type index of the function at funcIdx.
+func (ix *IndexSpace) FuncTypeIdx(funcIdx uint32) (uint32, error) {
+	if uint64(funcIdx) >= uint64(len(ix.funcTypes)) {
+		return 0, fmt.Errorf("wasm: function index %d out of range (have %d)", funcIdx, len(ix.funcTypes))
+	}
+	return ix.funcTypes[funcIdx], nil
 }
 
 // FuncType returns the signature of the function at funcIdx.
-func (m *Module) FuncType(funcIdx uint32) (FuncType, error) {
-	ti, err := m.FuncTypeIdx(funcIdx)
+func (ix *IndexSpace) FuncType(funcIdx uint32) (FuncType, error) {
+	ti, err := ix.FuncTypeIdx(funcIdx)
 	if err != nil {
 		return FuncType{}, err
 	}
-	if int(ti) >= len(m.Types) {
-		return FuncType{}, fmt.Errorf("wasm: type index %d out of range (have %d)", ti, len(m.Types))
+	if uint64(ti) >= uint64(len(ix.Types)) {
+		return FuncType{}, fmt.Errorf("wasm: type index %d out of range (have %d)", ti, len(ix.Types))
 	}
-	return m.Types[ti], nil
+	return ix.Types[ti], nil
 }
 
-// GlobalType returns the type of the global at the given index in the global
-// index space (imported globals first, then defined ones).
-func (m *Module) GlobalType(globalIdx uint32) (GlobalType, error) {
-	i := globalIdx
-	for _, imp := range m.Imports {
-		if imp.Kind != ExternGlobal {
-			continue
-		}
-		if i == 0 {
-			return imp.Global, nil
-		}
-		i--
+// GlobalType returns the type of the global at globalIdx.
+func (ix *IndexSpace) GlobalType(globalIdx uint32) (GlobalType, error) {
+	if uint64(globalIdx) >= uint64(len(ix.globals)) {
+		return GlobalType{}, fmt.Errorf("wasm: global index %d out of range", globalIdx)
 	}
-	if int(i) < len(m.Globals) {
-		return m.Globals[i].Type, nil
-	}
-	return GlobalType{}, fmt.Errorf("wasm: global index %d out of range", globalIdx)
+	return ix.globals[globalIdx], nil
 }
 
 // AddType returns the index of ft in the type section, appending it if not

@@ -297,6 +297,16 @@ var opNameTable = func() [256]string {
 	return t
 }()
 
+// knownTable is opNames' key set as a dense array: Known runs once per
+// instruction in the decoder and in both encoder passes.
+var knownTable = func() [256]bool {
+	var t [256]bool
+	for op := range opNames {
+		t[op] = true
+	}
+	return t
+}()
+
 // OpcodeByName returns the opcode with the given text-format name.
 func OpcodeByName(name string) (Opcode, bool) {
 	op, ok := opByName[name]
@@ -304,10 +314,7 @@ func OpcodeByName(name string) (Opcode, bool) {
 }
 
 // Known reports whether op is a valid MVP opcode.
-func (op Opcode) Known() bool {
-	_, ok := opNames[op]
-	return ok
-}
+func (op Opcode) Known() bool { return knownTable[op] }
 
 func (op Opcode) String() string {
 	if s := opNameTable[op]; s != "" {

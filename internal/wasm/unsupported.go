@@ -71,16 +71,25 @@ var miscInstrs = map[uint32]struct {
 	MiscTableCopy:  {"table.copy", "bulk-memory", false},
 }
 
+// miscKnown and miscSupported are miscInstrs' key set and supported flags as
+// dense arrays indexed by subopcode (every subopcode is below MiscTableCopy+1).
+var miscKnown, miscSupported = func() (known, supported [MiscTableCopy + 1]bool) {
+	for sub, mi := range miscInstrs {
+		known[sub] = true
+		supported[sub] = mi.supported
+	}
+	return known, supported
+}()
+
 // MiscKnown reports whether sub is a recognized 0xFC subopcode (implemented
 // or not); unrecognized subopcodes are not WebAssembly and fail at decode.
 func MiscKnown(sub uint32) bool {
-	_, ok := miscInstrs[sub]
-	return ok
+	return sub < uint32(len(miscKnown)) && miscKnown[sub]
 }
 
 // MiscSupported reports whether the runtime implements 0xFC subopcode sub.
 func MiscSupported(sub uint32) bool {
-	return miscInstrs[sub].supported
+	return sub < uint32(len(miscSupported)) && miscSupported[sub]
 }
 
 // MiscName returns the text-format name of a 0xFC subopcode.

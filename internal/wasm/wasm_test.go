@@ -1,6 +1,9 @@
 package wasm
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestOpcodeClassification(t *testing.T) {
 	// Every known opcode must fall into exactly one instrumentation class
@@ -134,18 +137,22 @@ func TestModuleIndexSpaces(t *testing.T) {
 	if got := m.NumFuncs(); got != 3 {
 		t.Errorf("NumFuncs = %d", got)
 	}
-	ft, err := m.FuncType(2) // the defined function
+	ix := m.IndexSpace()
+	if ix.NumImportedFuncs != 2 || ix.NumFuncs() != 3 || ix.NumImportedGlobals != 1 || ix.NumGlobals() != 2 {
+		t.Errorf("IndexSpace counts = %d/%d funcs, %d/%d globals", ix.NumImportedFuncs, ix.NumFuncs(), ix.NumImportedGlobals, ix.NumGlobals())
+	}
+	ft, err := ix.FuncType(2) // the defined function
 	if err != nil || len(ft.Params) != 1 || ft.Params[0] != F64 {
 		t.Errorf("FuncType(2) = %v, %v", ft, err)
 	}
-	if _, err := m.FuncType(3); err == nil {
+	if _, err := ix.FuncType(3); err == nil {
 		t.Error("FuncType(3) should fail")
 	}
-	gt, err := m.GlobalType(0) // imported
+	gt, err := ix.GlobalType(0) // imported
 	if err != nil || gt.Type != I64 {
 		t.Errorf("GlobalType(0) = %v, %v", gt, err)
 	}
-	gt, err = m.GlobalType(1) // defined
+	gt, err = ix.GlobalType(1) // defined
 	if err != nil || gt.Type != F32 || !gt.Mutable {
 		t.Errorf("GlobalType(1) = %v, %v", gt, err)
 	}
@@ -215,5 +222,138 @@ func TestInstrString(t *testing.T) {
 	}
 	if got := bt.String(); got != "br_table [2 targets] 0" {
 		t.Errorf("br_table String = %q", got)
+	}
+}
+
+// scanFuncTypeIdx and scanGlobalType are the linear scans of the import
+// vector that IndexSpace replaces, kept here as the reference it must agree
+// with.
+func scanFuncTypeIdx(m *Module, funcIdx uint32) (uint32, bool) {
+	i := funcIdx
+	for _, imp := range m.Imports {
+		if imp.Kind != ExternFunc {
+			continue
+		}
+		if i == 0 {
+			return imp.TypeIdx, true
+		}
+		i--
+	}
+	if int(i) < len(m.Funcs) {
+		return m.Funcs[i].TypeIdx, true
+	}
+	return 0, false
+}
+
+func scanGlobalType(m *Module, globalIdx uint32) (GlobalType, bool) {
+	i := globalIdx
+	for _, imp := range m.Imports {
+		if imp.Kind != ExternGlobal {
+			continue
+		}
+		if i == 0 {
+			return imp.Global, true
+		}
+		i--
+	}
+	if int(i) < len(m.Globals) {
+		return m.Globals[i].Type, true
+	}
+	return GlobalType{}, false
+}
+
+// TestIndexSpaceInterleavedImports resolves every function and global index
+// of a module whose imports interleave all four kinds, against the linear
+// scan, and checks that out-of-range indices (including one whose type index
+// is itself out of range) fail.
+func TestIndexSpaceInterleavedImports(t *testing.T) {
+	m := &Module{
+		Types: []FuncType{
+			{Params: []ValType{I32}},
+			{Results: []ValType{F64}},
+			{Params: []ValType{I64, I64}, Results: []ValType{I64}},
+		},
+		Imports: []Import{
+			{Module: "env", Name: "f0", Kind: ExternFunc, TypeIdx: 2},
+			{Module: "env", Name: "g0", Kind: ExternGlobal, Global: GlobalType{Type: I32}},
+			{Module: "env", Name: "mem", Kind: ExternMemory, Mem: Limits{Min: 1}},
+			{Module: "env", Name: "f1", Kind: ExternFunc, TypeIdx: 0},
+			{Module: "env", Name: "tbl", Kind: ExternTable, Table: Limits{Min: 4}},
+			{Module: "env", Name: "g1", Kind: ExternGlobal, Global: GlobalType{Type: F64, Mutable: true}},
+		},
+		Funcs: []Func{{TypeIdx: 1}, {TypeIdx: 2}, {TypeIdx: 7}}, // the last has a bad type index
+		Globals: []Global{
+			{Type: GlobalType{Type: I64}},
+			{Type: GlobalType{Type: F32, Mutable: true}},
+		},
+	}
+	ix := m.IndexSpace()
+	if ix.NumImportedFuncs != 2 || ix.NumImportedGlobals != 2 || !ix.HasTable || !ix.HasMemory {
+		t.Fatalf("IndexSpace = %d imported funcs, %d imported globals, table %v, memory %v",
+			ix.NumImportedFuncs, ix.NumImportedGlobals, ix.HasTable, ix.HasMemory)
+	}
+	if ix.NumFuncs() != m.NumFuncs() || ix.NumGlobals() != m.NumImportedGlobals()+len(m.Globals) {
+		t.Fatalf("IndexSpace sizes %d funcs, %d globals", ix.NumFuncs(), ix.NumGlobals())
+	}
+	for idx := uint32(0); idx < 8; idx++ {
+		want, ok := scanFuncTypeIdx(m, idx)
+		got, err := ix.FuncTypeIdx(idx)
+		if ok != (err == nil) || got != want {
+			t.Errorf("FuncTypeIdx(%d) = %d, %v; scan gives %d, %v", idx, got, err, want, ok)
+		}
+		ft, err := ix.FuncType(idx)
+		switch {
+		case !ok:
+			if want := fmt.Sprintf("wasm: function index %d out of range (have 5)", idx); err == nil || err.Error() != want {
+				t.Errorf("FuncType(%d) error = %v, want %q", idx, err, want)
+			}
+		case int(want) >= len(m.Types):
+			if want := fmt.Sprintf("wasm: type index %d out of range (have 3)", want); err == nil || err.Error() != want {
+				t.Errorf("FuncType(%d) error = %v, want %q", idx, err, want)
+			}
+		case err != nil || !ft.Equal(m.Types[want]):
+			t.Errorf("FuncType(%d) = %v, %v; want %v", idx, ft, err, m.Types[want])
+		}
+	}
+	for idx := uint32(0); idx < 8; idx++ {
+		want, ok := scanGlobalType(m, idx)
+		got, err := ix.GlobalType(idx)
+		if ok != (err == nil) || got != want {
+			t.Errorf("GlobalType(%d) = %v, %v; scan gives %v, %v", idx, got, err, want, ok)
+		}
+		if !ok && (err == nil || err.Error() != fmt.Sprintf("wasm: global index %d out of range", idx)) {
+			t.Errorf("GlobalType(%d) error = %v", idx, err)
+		}
+	}
+	if _, err := ix.FuncTypeIdx(^uint32(0)); err == nil {
+		t.Error("FuncTypeIdx(MaxUint32) should fail")
+	}
+	if _, err := ix.GlobalType(^uint32(0)); err == nil {
+		t.Error("GlobalType(MaxUint32) should fail")
+	}
+}
+
+// TestOpcodeTablesMatchMaps pins the dense lookup tables to the maps they
+// are built from, for every opcode byte and every subopcode up to 255.
+func TestOpcodeTablesMatchMaps(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		op := Opcode(b)
+		_, named := opNames[op]
+		if op.Known() != named {
+			t.Errorf("Opcode(0x%02x).Known() = %v, opNames has it: %v", b, op.Known(), named)
+		}
+		mi, known := miscInstrs[uint32(b)]
+		if MiscKnown(uint32(b)) != known {
+			t.Errorf("MiscKnown(%d) = %v, miscInstrs has it: %v", b, MiscKnown(uint32(b)), known)
+		}
+		if MiscSupported(uint32(b)) != mi.supported {
+			t.Errorf("MiscSupported(%d) = %v, want %v", b, MiscSupported(uint32(b)), mi.supported)
+		}
+	}
+	if OpMiscPrefix.Known() {
+		t.Error("the 0xFC prefix must not be Known")
+	}
+	if MiscKnown(^uint32(0)) || MiscSupported(^uint32(0)) {
+		t.Error("subopcode MaxUint32 must be neither known nor supported")
 	}
 }
