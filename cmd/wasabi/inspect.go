@@ -28,8 +28,9 @@ func runInspect(m *wasm.Module, w io.Writer) error {
 		p.NumFuncs, p.NumImports, p.TableFuncs, len(p.DeadFuncs))
 	if len(p.DeadFuncs) > 0 {
 		fmt.Fprintf(w, "dead functions (unreachable from exports/start):\n")
+		names := m.FuncNameList()
 		for _, idx := range p.DeadFuncs {
-			fmt.Fprintf(w, "  %4d %s\n", idx, m.FuncName(idx))
+			fmt.Fprintf(w, "  %4d %s\n", idx, names[idx])
 		}
 	}
 

@@ -5,9 +5,9 @@ package wasabi_test
 // context cancellation, deadline — each yielding typed errors under
 // errors.Is/errors.As; fuel exhaustion inside hook-instrumented code through
 // BOTH dispatch pipelines (callback trampolines and stream encoders); a
-// deadline firing while a Block-mode stream producer is wedged on a lagging
-// consumer; and stream teardown on trap/fault (Stream.Err). Everything here
-// must be race-clean.
+// deadline firing while a Block-mode stream or fan-out producer is wedged
+// on a lagging consumer; and stream teardown on trap/fault (Stream.Err).
+// Everything here must be race-clean.
 
 import (
 	"context"
@@ -237,6 +237,63 @@ func TestDeadlineDuringBlockedStreamBatch(t *testing.T) {
 		if _, ok := stream.Next(); !ok {
 			break
 		}
+	}
+}
+
+// TestDeadlineDuringBlockedFanoutPublish is the fan-out twin of the test
+// above: the producer publishes to each subscription itself, so a Block
+// subscriber that is never drained wedges the producer's publish loop. The
+// deadline must still unwedge it, the fabric must end with the
+// interruption as its terminal error, and the subscription must end.
+func TestDeadlineDuringBlockedFanoutPublish(t *testing.T) {
+	leakcheck.Check(t)
+	a := &brCounter{}
+	engine := mustEngine(t, wasabi.WithDeadline(20*time.Millisecond))
+	compiled, err := engine.InstrumentFor(spinModule(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := compiled.NewSession(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	fab, err := sess.Fanout(wasabi.StreamBatchSize(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := fab.Subscribe(wasabi.SubscribeBackpressure(wasabi.BackpressureBlock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sess.Instantiate("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = sess.InvokeContext(context.Background(), inst, "spin")
+	if !errors.Is(err, wasabi.ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("unwedging took %v", elapsed)
+	}
+	if err := fab.Err(); !errors.Is(err, wasabi.ErrInterrupted) {
+		t.Errorf("Fabric.Err() = %v, want ErrInterrupted", err)
+	}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		for {
+			if _, ok := sub.Next(); !ok {
+				return
+			}
+		}
+	}()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the subscription did not end after the interrupted run")
 	}
 }
 

@@ -101,7 +101,8 @@ func WithCompiledCacheLimit(n int) EngineOption {
 // event streams: Block (default, lossless — event production stalls until
 // the consumer catches up) or Drop (lossy — full batches are discarded and
 // counted when the consumer lags). Individual streams can override it with
-// StreamBackpressure.
+// StreamBackpressure; a fan-out's subscriptions inherit their stream's
+// policy unless SubscribeBackpressure overrides it.
 func WithBackpressure(mode Backpressure) EngineOption {
 	return func(e *Engine) error {
 		if mode != BackpressureBlock && mode != BackpressureDrop {

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"wasabi/internal/fabric"
 	"wasabi/internal/interp"
+	wruntime "wasabi/internal/runtime"
 	"wasabi/internal/sink"
 	"wasabi/internal/validate"
 )
@@ -79,11 +79,11 @@ var (
 	// ErrFabricClosed matches Fabric.Subscribe after the stream ended
 	// (producer Close, session teardown, or a terminal stream error): a
 	// late subscriber could only observe silence.
-	ErrFabricClosed = fabric.ErrClosed
+	ErrFabricClosed = wruntime.ErrFabricClosed
 	// ErrSubscriptionClosed matches a second Subscription.Close — a
 	// lifecycle bug, since the first Close already released the
 	// subscription's queued batches.
-	ErrSubscriptionClosed = fabric.ErrSubscriptionClosed
+	ErrSubscriptionClosed = wruntime.ErrSubscriptionClosed
 	// ErrCorruptSegment matches replay of a truncated or damaged event-log
 	// segment file (sink.Open / wasabi-replay): bad magic or version, a
 	// foreign byte order, or a commit watermark promising records the file

@@ -197,7 +197,7 @@ func (s *service) analyze(compiled *wasabi.CompiledAnalysis, id, entry string, a
 	}
 	res, invokeErr := inst.Invoke(entry, args...)
 	fuelUsed := fuelBudget - inst.Fuel()
-	fab.Close() // flush, end the stream, wait for the distributor
+	fab.Close() // flush and end the stream
 	wg.Wait()
 	if err := rec.Close(); err != nil {
 		return nil, err

@@ -4,9 +4,10 @@ package wasabi
 // concurrent subscribers over the same record stream. Session.Fanout opens
 // the session's stream like Session.Stream does, but instead of a single
 // consumer end it returns a Fabric that hands out Subscriptions — each with
-// the familiar Next/Serve surface — and broadcasts every batch to all of
-// them by reference (no per-subscriber copy; see internal/fabric for the
-// refcounted hand-off).
+// the familiar Next/Serve surface. A Stream is this with exactly one
+// subscription: the producer publishes every batch itself, by reference, to
+// each subscription's queue (no per-subscriber copy, no goroutine in
+// between; see internal/runtime/emitter.go for the refcounted hand-off).
 //
 //	sess, _ := compiled.NewSession(wasabi.StreamCaps(wasabi.AllCaps))
 //	fab, _ := sess.Fanout()
@@ -18,16 +19,20 @@ package wasabi
 //	inst.Invoke("main")
 //	fab.Close()                              // flush + end of stream
 //
-// Backpressure is per subscriber: a Subscription is lossless by default
-// (Block — once its queue and the emitter's ring fill, the instrumented
-// program stalls until it catches up), or opts out of the guarantee with
-// SubscribeBackpressure(BackpressureDrop), in which case a full queue loses
-// batches for that subscriber only (Subscription.Dropped counts them) and
-// never delays the producer or its peers.
+// Backpressure is per subscriber, with one rule: the stream's policy
+// (WithBackpressure / StreamBackpressure, Block by default) is every
+// subscription's default, and SubscribeBackpressure overrides it. Block is
+// lossless — once its queue fills, the instrumented program stalls until
+// that subscriber catches up. Drop loses batches for that subscriber only
+// (Subscription.Dropped counts them) and never delays the producer or its
+// peers.
+//
+// Teardown has one rule too: Session.Close closes every subscription, then
+// discards and counts what is still queued. It never waits for a consumer.
 
 import (
 	"wasabi/internal/analysis"
-	"wasabi/internal/fabric"
+	wruntime "wasabi/internal/runtime"
 )
 
 // DefaultSubscriberQueue is the default per-subscriber queue depth, in
@@ -38,7 +43,7 @@ const DefaultSubscriberQueue = 8
 // Subscription is one subscriber's end of a Fabric: Next/Serve like a
 // Stream, plus Close to unsubscribe early and Dropped for its own loss
 // count. Exactly one goroutine may consume a subscription.
-type Subscription = fabric.Subscription
+type Subscription = wruntime.Subscription
 
 // Fabric broadcasts a session's event stream to any number of
 // subscriptions. The producer-side calls (Flush, Close) follow the same
@@ -46,7 +51,6 @@ type Subscription = fabric.Subscription
 // session runs.
 type Fabric struct {
 	st    *Stream
-	inner *fabric.Fabric
 	queue int // engine-default queue depth for new subscriptions
 }
 
@@ -55,7 +59,7 @@ type SubscribeOption func(*subscribeConfig)
 
 type subscribeConfig struct {
 	queue int
-	drop  bool
+	mode  Backpressure
 }
 
 // SubscribeQueue overrides the subscription's queue depth: how many batches
@@ -65,12 +69,12 @@ func SubscribeQueue(n int) SubscribeOption {
 	return func(c *subscribeConfig) { c.queue = n }
 }
 
-// SubscribeBackpressure overrides the subscription's backpressure policy:
-// BackpressureBlock (default, lossless — a full queue stalls the
-// distributor and transitively the producer) or BackpressureDrop (lossy —
-// a full queue skips batches for this subscriber only).
+// SubscribeBackpressure overrides the subscription's backpressure policy,
+// which defaults to the stream's: BackpressureBlock (lossless — a full
+// queue stalls the producer) or BackpressureDrop (lossy — a full queue
+// skips batches for this subscriber only).
 func SubscribeBackpressure(mode Backpressure) SubscribeOption {
-	return func(c *subscribeConfig) { c.drop = mode == BackpressureDrop }
+	return func(c *subscribeConfig) { c.mode = mode }
 }
 
 // Fanout switches the session to stream delivery like Session.Stream, but
@@ -80,15 +84,14 @@ func SubscribeBackpressure(mode Backpressure) SubscribeOption {
 // StreamCaps anchor, since the actual consumers attach per subscription.
 //
 // Delivery starts immediately — subscribe before invoking instrumented
-// code to observe the complete record sequence.
+// code to observe the complete record sequence (batches flushed while no
+// subscription exists reach nobody and count in Fabric.Dropped).
 func (s *Session) Fanout(opts ...StreamOption) (*Fabric, error) {
 	st, err := s.openStream("Fanout", opts)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{st: st, inner: fabric.New(st.em), queue: s.compiled.engine.subQueue}
-	s.fanout = f
-	return f, nil
+	return &Fabric{st: st, queue: s.compiled.engine.subQueue}, nil
 }
 
 // Subscribe adds a subscriber and returns its consumption end. Subscribers
@@ -96,14 +99,14 @@ func (s *Session) Fanout(opts ...StreamOption) (*Fabric, error) {
 // batches flushed from now on); subscribing after the stream ended fails
 // with ErrFabricClosed.
 func (f *Fabric) Subscribe(opts ...SubscribeOption) (*Subscription, error) {
-	cfg := subscribeConfig{queue: f.queue}
+	cfg := subscribeConfig{queue: f.queue, mode: f.st.mode}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.queue < 1 {
 		return nil, badOption("SubscribeQueue", cfg.queue, "a subscription queues at least one batch")
 	}
-	return f.inner.Subscribe(cfg.queue, cfg.drop)
+	return f.st.em.Subscribe(cfg.queue, cfg.mode)
 }
 
 // Table returns the decode table shared by every subscription of this
@@ -114,19 +117,17 @@ func (f *Fabric) Table() *EventTable { return f.st.tbl }
 // Producer-side: call it between invocations.
 func (f *Fabric) Flush() { f.st.Flush() }
 
-// Close flushes pending records and ends the stream, then waits for the
-// distributor to hand the last batch over: when Close returns, every
-// record is either enqueued on a subscription or (for Drop subscribers
-// that lagged) counted dropped, and subscribers' Next/Serve wind down with
-// ok == false. Producer-side. Block subscribers must keep draining until
-// their subscription ends, exactly like a single-consumer Block stream.
-func (f *Fabric) Close() {
-	f.st.Close()
-	<-f.inner.Done()
-}
+// Close publishes pending records and ends the stream: when Close returns,
+// every record is either enqueued on a subscription or (for Drop
+// subscribers that lagged) counted dropped, and subscribers' Next/Serve
+// wind down with ok == false. Producer-side. Block subscribers must keep
+// draining until their subscription ends, exactly like a single-consumer
+// Block stream.
+func (f *Fabric) Close() { f.st.Close() }
 
-// Dropped returns the producer-side loss count of the underlying stream
-// (events dropped before distribution — emitter backpressure, teardown).
+// Dropped returns the events no subscriber received: flushed while no
+// subscription was attached, skipped by every subscription, discarded at
+// teardown before any subscriber took them, or emitted after Close.
 // Per-subscriber losses are counted on each Subscription instead.
 func (f *Fabric) Dropped() uint64 { return f.st.Dropped() }
 

@@ -357,7 +357,7 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wedged, err := fab.Subscribe(wasabi.SubscribeQueue(1)) // Block, never drained during the run
+	wedged, err := fab.Subscribe(wasabi.SubscribeQueue(1)) // the stream's Drop policy, never drained during the run
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +365,8 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop-mode emitter: the run completes even though the distributor is
-	// wedged on the undrained Block subscription.
+	// Drop by the stream's default: the run completes even though the
+	// subscription is never drained.
 	if _, err := inst.Invoke("kernel"); err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestFanoutSessionCloseTeardown(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("Session.Close hung on a wedged Block subscriber")
 	}
-	// The wedged subscriber can still drain what was queued, then ends.
+	// Teardown discarded what was queued; the subscriber ends.
 	for {
 		if _, ok := wedged.Next(); !ok {
 			break

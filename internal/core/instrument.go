@@ -229,7 +229,7 @@ func buildModuleInfo(m *wasm.Module, ix *wasm.IndexSpace) analysis.ModuleInfo {
 	n := ix.NumFuncs()
 	info := analysis.ModuleInfo{
 		FuncTypes:        make([]wasm.FuncType, n),
-		FuncNames:        make([]string, n),
+		FuncNames:        m.FuncNameList(),
 		NumImportedFuncs: ix.NumImportedFuncs,
 		NumGlobals:       ix.NumGlobals(),
 		Exports:          make(map[string]uint32),
@@ -239,22 +239,6 @@ func buildModuleInfo(m *wasm.Module, ix *wasm.IndexSpace) analysis.ModuleInfo {
 		ft, err := ix.FuncType(uint32(i))
 		if err == nil {
 			info.FuncTypes[i] = ft
-		}
-	}
-	// Names, as Module.FuncName gives them, in one pass over the imports: the
-	// name section first, then the import name, then a numeric placeholder.
-	fn := 0
-	for _, imp := range m.Imports {
-		if imp.Kind == wasm.ExternFunc {
-			info.FuncNames[fn] = imp.Module + "." + imp.Name
-			fn++
-		}
-	}
-	for i := range info.FuncNames {
-		if name, ok := m.FuncNames[uint32(i)]; ok {
-			info.FuncNames[i] = name
-		} else if i >= fn {
-			info.FuncNames[i] = fmt.Sprintf("func%d", i)
 		}
 	}
 	for _, e := range m.Exports {

@@ -11,7 +11,6 @@ package runtime
 
 import (
 	"testing"
-	"time"
 
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
@@ -25,6 +24,7 @@ type encoderFixture struct {
 	md      *core.Metadata
 	inst    *interp.Instance
 	em      *Emitter
+	sub     *Subscription // the fixture's one consumer, never drained unless a test does
 	tracer  *analyses.Tracer
 	specs   []*core.HookSpec
 	tramps  []hookFn
@@ -42,7 +42,11 @@ func newEncoderFixture(t testing.TB, batchSize int, mode Backpressure) *encoderF
 	tracer := analyses.NewTracer()
 	rtT := New(md, tracer)
 
-	em := NewEmitter(batchSize, mode)
+	em := NewEmitter(batchSize)
+	sub, err := em.Subscribe(StreamQueue, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rtE := New(md, struct{}{})
 	rtE.SetEmitter(em, analysis.AllCaps)
 
@@ -52,7 +56,7 @@ func newEncoderFixture(t testing.TB, batchSize int, mode Backpressure) *encoderF
 	}
 	rtE.BindInstance(inst)
 
-	fx := &encoderFixture{md: md, inst: inst, em: em, tracer: tracer}
+	fx := &encoderFixture{md: md, inst: inst, em: em, sub: sub, tracer: tracer}
 	for i := range md.Hooks {
 		spec := &md.Hooks[i]
 		lay := spec.Layout()
@@ -86,7 +90,7 @@ func TestEncoderParityWithTrampolines(t *testing.T) {
 	st := analyses.NewStreamTracer()
 	st.SetEventTable(fx.md.EventTable())
 	for {
-		batch, ok := fx.em.Next()
+		batch, ok := fx.sub.Next()
 		if !ok {
 			break
 		}
@@ -117,7 +121,7 @@ func TestEncoderDeadHookElision(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := New(md, struct{}{})
-	rt.SetEmitter(NewEmitter(16, Drop), analysis.CapBinary)
+	rt.SetEmitter(NewEmitter(16), analysis.CapBinary)
 	for i := range md.Hooks {
 		spec := &md.Hooks[i]
 		_, noop := rt.compileEncoder(spec, spec.Layout(), i)
@@ -144,100 +148,5 @@ func TestStreamEmitZeroAllocs(t *testing.T) {
 	}
 	if fx.em.Dropped() == 0 {
 		t.Error("no batch was dropped; the guard did not exercise the flush path")
-	}
-}
-
-// TestEmitterBlockDelivery checks the lossless hand-off: a concurrent
-// consumer sees every emitted record, in order, across many batch cycles.
-func TestEmitterBlockDelivery(t *testing.T) {
-	em := NewEmitter(64, Block)
-	const n = 10_000
-	got := make([]uint32, 0, n)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			batch, ok := em.Next()
-			if !ok {
-				return
-			}
-			for i := range batch {
-				got = append(got, batch[i].Aux)
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		em.emit(analysis.Event{Aux: uint32(i)})
-	}
-	em.Close()
-	<-done
-	if len(got) != n {
-		t.Fatalf("consumer saw %d events, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != uint32(i) {
-			t.Fatalf("event %d out of order: %d", i, v)
-		}
-	}
-	if em.Dropped() != 0 {
-		t.Errorf("Block mode dropped %d events", em.Dropped())
-	}
-}
-
-// TestEmitterCloseDiscardNeverBlocks pins the teardown path: with the full
-// ring at capacity, a non-empty current batch, and no consumer, CloseDiscard
-// must return (Close's lossless final flush would wait forever here) and
-// account every event as dropped.
-func TestEmitterCloseDiscardNeverBlocks(t *testing.T) {
-	em := NewEmitter(4, Block)
-	const n = 11 // two full batches into the ring + 3 pending in cur
-	for i := 0; i < n; i++ {
-		em.emit(analysis.Event{Aux: uint32(i)})
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		em.CloseDiscard()
-		em.CloseDiscard() // idempotent
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("CloseDiscard blocked")
-	}
-	if em.Dropped() != n {
-		t.Errorf("dropped %d events, want all %d", em.Dropped(), n)
-	}
-	if _, ok := em.Next(); ok {
-		t.Error("Next delivered a batch after CloseDiscard")
-	}
-}
-
-// TestEmitterDropBackpressure checks the lossy mode: with no consumer the
-// producer never stalls, the ring's batches survive, and the overflow is
-// counted.
-func TestEmitterDropBackpressure(t *testing.T) {
-	em := NewEmitter(8, Drop)
-	const n = 1000
-	for i := 0; i < n; i++ {
-		em.emit(analysis.Event{Aux: uint32(i)})
-	}
-	em.Close()
-	var got int
-	for {
-		batch, ok := em.Next()
-		if !ok {
-			break
-		}
-		got += len(batch)
-	}
-	if got == 0 {
-		t.Error("drop mode delivered nothing; the in-flight batches should survive")
-	}
-	if em.Dropped() == 0 {
-		t.Error("drop mode with no consumer dropped nothing")
-	}
-	if uint64(got)+em.Dropped() != n {
-		t.Errorf("delivered %d + dropped %d != emitted %d", got, em.Dropped(), n)
 	}
 }

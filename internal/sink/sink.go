@@ -143,6 +143,12 @@ func decodeTable(b []byte) (*analysis.EventTable, error) {
 	}
 	n := binary.LittleEndian.Uint32(b)
 	b = b[4:]
+	// A spec encodes to at least minSpecLen bytes, so a count the blob
+	// cannot hold is damage — and must not size the allocation below.
+	const minSpecLen = 3 + 3*2
+	if uint64(n) > uint64(len(b))/minSpecLen {
+		return nil, fmt.Errorf("%d specs cannot fit in %d bytes", n, len(b))
+	}
 	specs := make([]analysis.EventSpec, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 3 {

@@ -125,12 +125,13 @@ func (ma *ModuleAnalysis) Profile() *Profile {
 		DeadFuncs:  ma.Graph.DeadFuncs(),
 		TableFuncs: len(ma.Graph.TableFuncs),
 	}
+	names := ma.Mod.FuncNameList()
 	for di := range ma.Funcs {
 		idx := numImports + di
 		fa := &ma.Funcs[di]
 		p.Funcs = append(p.Funcs, FuncProfile{
 			Idx:       idx,
-			Name:      ma.Mod.FuncName(uint32(idx)),
+			Name:      names[idx],
 			Dead:      !ma.Graph.Reachable[idx],
 			Blocks:    len(fa.CFG.Blocks),
 			Reachable: fa.CFG.NumReachable(),

@@ -213,7 +213,8 @@ func (m *Module) AddType(ft FuncType) uint32 {
 }
 
 // FuncName returns the debug name of a function if the module carries one,
-// falling back to the import name or a numeric placeholder.
+// falling back to the import name or a numeric placeholder. It scans the
+// imports on every call; to name many functions use FuncNameList.
 func (m *Module) FuncName(funcIdx uint32) string {
 	if name, ok := m.FuncNames[funcIdx]; ok {
 		return name
@@ -229,6 +230,27 @@ func (m *Module) FuncName(funcIdx uint32) string {
 		i--
 	}
 	return fmt.Sprintf("func%d", funcIdx)
+}
+
+// FuncNameList returns FuncName of every index of the function index
+// space, resolved in one pass over the imports.
+func (m *Module) FuncNameList() []string {
+	var names []string
+	for _, imp := range m.Imports {
+		if imp.Kind == ExternFunc {
+			names = append(names, imp.Module+"."+imp.Name)
+		}
+	}
+	numImported := len(names)
+	names = append(names, make([]string, len(m.Funcs))...)
+	for i := range names {
+		if name, ok := m.FuncNames[uint32(i)]; ok {
+			names[i] = name
+		} else if i >= numImported {
+			names[i] = fmt.Sprintf("func%d", i)
+		}
+	}
+	return names
 }
 
 // ExportedFunc returns the function index exported under name, if any.

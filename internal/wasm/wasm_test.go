@@ -357,3 +357,31 @@ func TestOpcodeTablesMatchMaps(t *testing.T) {
 		t.Error("subopcode MaxUint32 must be neither known nor supported")
 	}
 }
+
+// TestFuncNameList pins the one-pass name list to FuncName for every index:
+// name-section entries win over import names, unnamed defined functions get
+// the numeric placeholder, and a name for an index outside the space is
+// ignored.
+func TestFuncNameList(t *testing.T) {
+	m := &Module{
+		Imports: []Import{
+			{Module: "env", Name: "f0", Kind: ExternFunc},
+			{Module: "env", Name: "mem", Kind: ExternMemory, Mem: Limits{Min: 1}},
+			{Module: "env", Name: "f1", Kind: ExternFunc},
+		},
+		Funcs:     []Func{{}, {}, {}},
+		FuncNames: map[uint32]string{1: "renamed", 3: "main", 9: "stale"},
+	}
+	names := m.FuncNameList()
+	if len(names) != m.NumFuncs() {
+		t.Fatalf("FuncNameList has %d names, want %d", len(names), m.NumFuncs())
+	}
+	for i, got := range names {
+		if want := m.FuncName(uint32(i)); got != want {
+			t.Errorf("name %d = %q, FuncName gives %q", i, got, want)
+		}
+	}
+	if want := []string{"env.f0", "renamed", "func2", "main", "func4"}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Errorf("FuncNameList = %q, want %q", names, want)
+	}
+}

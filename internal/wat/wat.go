@@ -37,11 +37,14 @@ func Print(w io.Writer, m *wasm.Module) error {
 	for _, mem := range m.Memories {
 		p.printf("(memory %s)", limits(mem))
 	}
+	numGlobalImports := m.NumImportedGlobals()
 	for i, g := range m.Globals {
-		p.printf("(global %d %s %s)", m.NumImportedGlobals()+i, g.Type, exprString(g.Init))
+		p.printf("(global %d %s %s)", numGlobalImports+i, g.Type, exprString(g.Init))
 	}
+	names := m.FuncNameList()
+	numImported := len(names) - len(m.Funcs)
 	for i := range m.Funcs {
-		p.printFunc(m, i)
+		p.printFunc(m, &m.Funcs[i], numImported+i, names[numImported+i])
 	}
 	for _, e := range m.Exports {
 		p.printf("(export %q (%s %d))", e.Name, e.Kind, e.Idx)
@@ -80,14 +83,12 @@ func (p *printer) printf(format string, args ...any) {
 	_, p.err = fmt.Fprintf(p.w, "%s%s\n", strings.Repeat("  ", p.indent), fmt.Sprintf(format, args...))
 }
 
-func (p *printer) printFunc(m *wasm.Module, defined int) {
-	f := &m.Funcs[defined]
-	idx := m.NumImportedFuncs() + defined
+func (p *printer) printFunc(m *wasm.Module, f *wasm.Func, idx int, name string) {
 	sig := ""
 	if int(f.TypeIdx) < len(m.Types) {
 		sig = " " + m.Types[f.TypeIdx].String()
 	}
-	p.printf("(func %d (; %s ;)%s", idx, m.FuncName(uint32(idx)), sig)
+	p.printf("(func %d (; %s ;)%s", idx, name, sig)
 	p.indent++
 	if len(f.Locals) > 0 {
 		parts := make([]string, len(f.Locals))

@@ -27,7 +27,6 @@ type Session struct {
 
 	names        []string // instance names this session registered
 	stream       *Stream  // non-nil after Stream() or Fanout()
-	fanout       *Fabric  // non-nil after Fanout(); broadcasts stream
 	instantiated bool
 	closed       bool
 
@@ -149,10 +148,12 @@ func (s *Session) InvokeContext(ctx context.Context, inst *interp.Instance, fn s
 // Close ends the session: every instance name it registered is removed from
 // the engine's registry (so long-running engines do not accumulate retired
 // instances — the registry-eviction half of the instance lifecycle), and an
-// active event stream is closed and its pooled batch buffers released. The
-// instances themselves stay usable for an embedder that still holds them;
-// they are simply no longer reachable by name. Idempotent; the session
-// cannot Instantiate or Stream afterwards.
+// active event stream is torn down: every subscription is closed and what
+// is still queued is discarded and counted (Dropped), without waiting for
+// any consumer — for a lossless shutdown close the stream and drain it
+// first. The instances themselves stay usable for an embedder that still
+// holds them; they are simply no longer reachable by name. Idempotent; the
+// session cannot Instantiate or Stream afterwards.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
@@ -163,14 +164,7 @@ func (s *Session) Close() error {
 	}
 	s.names = nil
 	if s.stream != nil {
-		s.stream.release()
-	}
-	// With a fabric on top of the stream, also stop its distributor: the
-	// emitter is closed and drained by release above, so the distributor
-	// exits promptly, and Kill additionally unwedges it from a Block
-	// subscriber that stopped draining. Subscribers observe end-of-stream.
-	if s.fanout != nil {
-		s.fanout.inner.Kill()
+		s.stream.em.CloseDiscard()
 	}
 	return nil
 }

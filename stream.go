@@ -4,7 +4,7 @@ package wasabi
 // batches, beside (not on top of) the callback API. A stream session's hooks
 // compile to per-spec record encoders — the same precomputed lowered-arg
 // layouts as the callback trampolines, but writing 40-byte analysis.Event
-// records into a per-session batch ring instead of calling analysis Go code.
+// records into per-session batch buffers instead of calling analysis Go code.
 // The consumer pulls whole batches:
 //
 //	sess, _ := compiled.NewSession(myStreamAnalysis) // EventStreamer
@@ -14,15 +14,17 @@ package wasabi
 //	inst.Invoke("main")                              // events flow in batches
 //	stream.Close()                                   // flush + end of stream
 //
-// Ownership follows the Values rule of the callback API: a batch is
-// borrowed and valid only until the next batch is requested — the buffers
-// cycle. Copy records (they are plain values) to retain them.
+// A Stream is the session's emitter with exactly one subscription, two
+// batches deep: the same hand-off a Fabric uses for N subscribers
+// (fabric.go). Ownership follows the Values rule of the callback API: a
+// batch is borrowed and valid only until the next batch is requested — the
+// buffers cycle. Copy records (they are plain values) to retain them.
 //
 // Backpressure is explicit: Block (default) stalls the instrumented program
 // when the consumer lags, Drop discards full batches and counts them.
 // Block requires the consumer to run concurrently; a run-first-drain-later
 // loop on one goroutine must use Drop (or a batch budget that fits the
-// ring).
+// queue).
 
 import (
 	"fmt"
@@ -32,17 +34,18 @@ import (
 	wruntime "wasabi/internal/runtime"
 )
 
-// Backpressure selects what a stream's producer side does when every batch
-// buffer is full because the consumer lags. See the package comment of this
-// file.
+// Backpressure selects what a stream's producer side does when a
+// subscription's queue is full because its consumer lags. See the package
+// comment of this file.
 type Backpressure = wruntime.Backpressure
 
 const (
 	// BackpressureBlock stalls event production until the consumer frees a
 	// batch (lossless).
 	BackpressureBlock = wruntime.Block
-	// BackpressureDrop discards the batch being flushed and keeps the
-	// program running (lossy; Stream.Dropped counts the loss).
+	// BackpressureDrop skips the batch being flushed for the lagging
+	// consumer and keeps the program running (lossy; Stream.Dropped and
+	// Subscription.Dropped count the loss).
 	BackpressureDrop = wruntime.Drop
 )
 
@@ -83,7 +86,8 @@ func StreamBatchSize(n int) StreamOption {
 	return func(c *streamConfig) { c.batchSize = n }
 }
 
-// StreamBackpressure overrides the backpressure policy of this stream.
+// StreamBackpressure overrides the backpressure policy of this stream — for
+// a Fanout, the default policy of its subscriptions.
 func StreamBackpressure(mode Backpressure) StreamOption {
 	return func(c *streamConfig) { c.backpressure = mode }
 }
@@ -92,9 +96,11 @@ func StreamBackpressure(mode Backpressure) StreamOption {
 // goroutine may consume a stream; Flush and Close belong to the producer
 // side (call them only while no instrumented code of the session runs).
 type Stream struct {
-	em  *wruntime.Emitter
-	tbl *analysis.EventTable
-	err atomic.Value // first terminal error (fail); read via Err
+	em   *wruntime.Emitter
+	sub  *wruntime.Subscription // the one consumer; nil under a Fabric
+	mode Backpressure           // default policy of the subscriptions
+	tbl  *analysis.EventTable
+	err  atomic.Value // first terminal error (fail); read via Err
 }
 
 // Stream switches the session from callback dispatch to stream delivery and
@@ -109,12 +115,18 @@ type Stream struct {
 // analysis would observe). If the analysis implements EventTableReceiver it
 // receives the decode table now.
 func (s *Session) Stream(opts ...StreamOption) (*Stream, error) {
-	return s.openStream("Stream", opts)
+	st, err := s.openStream("Stream", opts)
+	if err != nil {
+		return nil, err
+	}
+	// A fresh emitter is open, so subscribing cannot fail.
+	st.sub, _ = st.em.Subscribe(wruntime.StreamQueue, st.mode)
+	return st, nil
 }
 
 // openStream is the shared construction behind Session.Stream (one
-// consumer) and Session.Fanout (N subscribers over the same emitter): it
-// validates, builds the emitter, and wires the session's stream hooks.
+// subscription) and Session.Fanout (N subscriptions to the same emitter):
+// it validates, builds the emitter, and wires the session's stream hooks.
 func (s *Session) openStream(method string, opts []StreamOption) (*Stream, error) {
 	if s.closed {
 		return nil, fmt.Errorf("%w: %s", ErrSessionClosed, method)
@@ -151,13 +163,13 @@ func (s *Session) openStream(method string, opts []StreamOption) (*Stream, error
 	if cfg.backpressure != BackpressureBlock && cfg.backpressure != BackpressureDrop {
 		return nil, badOption("StreamBackpressure", int(cfg.backpressure), "unknown backpressure mode")
 	}
-	em := wruntime.NewEmitter(cfg.batchSize, cfg.backpressure)
+	em := wruntime.NewEmitter(cfg.batchSize)
 	s.rt.SetEmitter(em, caps)
 	tbl := s.compiled.EventTable()
 	if recv, ok := s.analysis.(analysis.EventTableReceiver); ok {
 		recv.SetEventTable(tbl)
 	}
-	s.stream = &Stream{em: em, tbl: tbl}
+	s.stream = &Stream{em: em, mode: cfg.backpressure, tbl: tbl}
 	return s.stream, nil
 }
 
@@ -174,19 +186,11 @@ func streamCapsOf(a any) Cap {
 // Close). ok is false when the stream is closed and fully drained. The
 // batch is BORROWED: it is valid only until the next Next call, which
 // recycles the buffer.
-func (st *Stream) Next() ([]Event, bool) { return st.em.Next() }
+func (st *Stream) Next() ([]Event, bool) { return st.sub.Next() }
 
 // Serve pulls batches and hands each to sink until the stream ends. Run it
 // on its own goroutine for Block-mode streams.
-func (st *Stream) Serve(sink EventSink) {
-	for {
-		batch, ok := st.em.Next()
-		if !ok {
-			return
-		}
-		sink.Events(batch)
-	}
-}
+func (st *Stream) Serve(sink EventSink) { st.sub.Serve(sink) }
 
 // Flush hands the partially filled batch to the consumer now. Producer-side:
 // call it between invocations, never while instrumented code runs.
@@ -195,7 +199,7 @@ func (st *Stream) Flush() { st.em.Flush() }
 // Close flushes pending records and ends the stream: after the in-flight
 // batches are drained, Next reports ok == false and Serve returns.
 // Producer-side like Flush. Idempotent. In Block mode the final flush waits
-// for a buffer, so keep the consumer draining until the stream ends.
+// for a queue slot, so keep the consumer draining until the stream ends.
 func (st *Stream) Close() { st.em.Close() }
 
 // Dropped returns the number of event records discarded so far: by
@@ -235,13 +239,4 @@ type streamErr struct{ error }
 func (st *Stream) fail(err error) {
 	st.err.CompareAndSwap(nil, streamErr{err})
 	st.em.Close()
-}
-
-// release is Session.Close's teardown: end the stream without waiting for
-// the consumer (undelivered batches are discarded and counted in Dropped —
-// for a lossless shutdown call Stream.Close and drain first) and return the
-// batch buffers.
-func (st *Stream) release() {
-	st.em.CloseDiscard()
-	st.em.Release()
 }

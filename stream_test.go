@@ -443,8 +443,8 @@ func TestStreamFlushesAtTopLevelReturn(t *testing.T) {
 
 // TestSessionCloseWithUnconsumedStream pins that teardown never waits on a
 // consumer: a Block-mode session whose consumer never ran — with the
-// in-flight ring completely full — still closes immediately, discarding and
-// counting the undelivered events. (Session.Close is producer-side like
+// stream's queue completely full — still closes immediately, discarding
+// and counting the undelivered events. (Session.Close is producer-side like
 // Flush: it must not race a running Invoke.)
 func TestSessionCloseWithUnconsumedStream(t *testing.T) {
 	leakcheck.Check(t)
@@ -473,7 +473,7 @@ func TestSessionCloseWithUnconsumedStream(t *testing.T) {
 	}
 	// One invoke emits 2 load events = 2 single-record batches: the first
 	// flushes on batch-full, the second at top-level return, leaving the
-	// in-flight ring at capacity with no consumer.
+	// stream's queue at capacity with no consumer.
 	if _, err := inst.Invoke("main"); err != nil {
 		t.Fatal(err)
 	}

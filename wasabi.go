@@ -36,7 +36,7 @@
 //
 // Beside the callback API there is a stream-native surface: Session.Stream
 // compiles the session's hooks into record encoders that append packed,
-// fixed-width Event records to a batch ring instead of calling analysis Go
+// fixed-width Event records to batch buffers instead of calling analysis Go
 // code, and the consumer pulls whole batches (Stream.Next / Stream.Serve)
 // — on its own goroutine if desired. Stream-native analyses implement
 // EventStreamer (declaring their event classes) and EventSink (consuming
