@@ -199,14 +199,10 @@ func TestMultiInstanceLinking(t *testing.T) {
 		t.Errorf("lib session observed the app's calls: %v", libRec.counts)
 	}
 
-	// Deprecated one-shot sessions link through PRIVATE registries: the same
-	// instance name on two Analyze sessions must not collide (v1 lifetime
-	// semantics — nothing accumulates in the process-global engine).
+	// Engines link through PRIVATE registries: the same instance name on
+	// sessions of two other engines must not collide.
 	for i := 0; i < 2; i++ {
-		sess, err := wasabi.Analyze(libModule(), newRecording())
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := analyzeFor(t, libModule(), newRecording())
 		if _, err := sess.Instantiate("lib", nil); err != nil {
 			t.Errorf("one-shot session %d: name %q collided across private registries: %v", i, "lib", err)
 		}
@@ -277,22 +273,17 @@ func (l *loadOnly) Load(wasabi.Location, string, wasabi.MemArg, wasabi.Value) { 
 // nothing returns the typed error instead.
 func TestErrNoHooks(t *testing.T) {
 	m := buildTestModule()
-	if _, err := wasabi.Analyze(m, &hookless{}); !errors.Is(err, wasabi.ErrNoHooks) {
-		t.Errorf("Analyze(hookless): err = %v, want ErrNoHooks", err)
-	}
-	// Instrumenting for nothing is rejected up front...
-	if _, err := mustEngine(t).Instrument(m, wasabi.Cap(0)); !errors.Is(err, wasabi.ErrNoHooks) {
+	engine := mustEngine(t)
+	// Instrumenting for nothing is rejected up front, by mask and by hook
+	// set...
+	if _, err := engine.Instrument(m, wasabi.Cap(0)); !errors.Is(err, wasabi.ErrNoHooks) {
 		t.Errorf("Instrument(empty mask): err = %v, want ErrNoHooks", err)
 	}
-	// ...and a no-op instrumentation smuggled through the deprecated shim
-	// still cannot bind a session.
-	if _, err := wasabi.AnalyzeWithOptions(m, newRecording(), core.Options{Hooks: 0}); !errors.Is(err, wasabi.ErrNoHooks) {
-		t.Errorf("AnalyzeWithOptions(empty hook set): err = %v, want ErrNoHooks", err)
+	if _, err := engine.InstrumentHooks(m, 0); !errors.Is(err, wasabi.ErrNoHooks) {
+		t.Errorf("InstrumentHooks(empty hook set): err = %v, want ErrNoHooks", err)
 	}
-	if _, err := wasabi.AnalyzeWithOptions(m, &hookless{}, core.Options{Hooks: analysis.AllHooks}); !errors.Is(err, wasabi.ErrNoHooks) {
-		t.Errorf("AnalyzeWithOptions(hookless): err = %v, want ErrNoHooks", err)
-	}
-	engine := mustEngine(t)
+	// ...and an analysis that implements no hook neither selects a hook set
+	// nor binds a session to a full instrumentation.
 	if _, err := engine.InstrumentFor(m, &hookless{}); !errors.Is(err, wasabi.ErrNoHooks) {
 		t.Errorf("InstrumentFor(hookless): err = %v, want ErrNoHooks", err)
 	}
@@ -362,11 +353,7 @@ func TestBorrowedValuesClone(t *testing.T) {
 	f.Done()
 
 	a := &cloningAnalysis{}
-	sess, err := wasabi.Analyze(b.Build(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sess.Instantiate("", nil)
+	inst, err := analyzeFor(t, b.Build(), a).Instantiate("", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

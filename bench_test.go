@@ -199,11 +199,7 @@ func BenchmarkFig9_PerHook(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{}, core.Options{Hooks: tc.set})
-			if err != nil {
-				b.Fatal(err)
-			}
-			runKernel(b, sess)
+			runKernel(b, analyzeHooks(b, m, tc.set, &analyses.Empty{}))
 		})
 	}
 }

@@ -276,20 +276,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	return e, nil
 }
 
-// defaultEngine backs the deprecated one-shot API. An optionless NewEngine
-// cannot fail.
-var defaultEngine = sync.OnceValue(func() *Engine {
-	e, err := NewEngine()
-	if err != nil {
-		panic(err)
-	}
-	return e
-})
-
-// DefaultEngine returns the shared process-wide engine the deprecated
-// one-shot API delegates to.
-func DefaultEngine() *Engine { return defaultEngine() }
-
 // Instrument instruments m once for every hook the capability mask selects
 // and returns the immutable result. An empty mask fails with ErrNoHooks
 // (instrumenting for nothing can never produce an event). Results are
@@ -410,8 +396,8 @@ func (e *Engine) InstrumentBytes(wasmBytes []byte, caps Cap) (*CompiledAnalysis,
 }
 
 // instrumentUncached runs the instrumenter without touching the cache: for
-// inputs whose module pointer will never be seen again (decoded bytes, the
-// deprecated one-shot shims), caching would retain every module forever.
+// inputs whose module pointer will never be seen again (decoded bytes),
+// caching would retain every module forever.
 func (e *Engine) instrumentUncached(m *wasm.Module, opts core.Options) (*CompiledAnalysis, error) {
 	if !e.noValidate {
 		if err := validate.Module(m); err != nil {

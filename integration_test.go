@@ -151,10 +151,7 @@ func (r *recordingAnalysis) Start(loc wasabi.Location) { r.counts["start"]++ }
 
 func runMain(t *testing.T, m *wasm.Module, a any, n int32) int32 {
 	t.Helper()
-	sess, err := wasabi.Analyze(m, a)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
+	sess := analyzeFor(t, m, a)
 	if err := validate.Module(sess.Module()); err != nil {
 		t.Fatalf("instrumented module invalid: %v", err)
 	}

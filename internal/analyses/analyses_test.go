@@ -13,9 +13,23 @@ import (
 )
 
 // runOn instruments m for the analysis and invokes entry(arg).
+// analyze instruments m on a fresh engine for the hooks a implements and
+// binds a session for a.
+func analyze(m *wasm.Module, a any) (*wasabi.Session, error) {
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.InstrumentFor(m, a)
+	if err != nil {
+		return nil, err
+	}
+	return compiled.NewSession(a)
+}
+
 func runOn(t *testing.T, m *wasm.Module, a any, entry string, arg int32) {
 	t.Helper()
-	sess, err := wasabi.Analyze(m, a)
+	sess, err := analyze(m, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +127,7 @@ func TestBlockProfileHotLoop(t *testing.T) {
 func TestInstructionCoverageGrows(t *testing.T) {
 	cov := analyses.NewInstructionCoverage()
 	m := loopModule()
-	sess, err := wasabi.Analyze(m, cov)
+	sess, err := analyze(m, cov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +161,7 @@ func TestInstructionCoverageGrows(t *testing.T) {
 func TestBranchCoverageDirections(t *testing.T) {
 	cov := analyses.NewBranchCoverage()
 	m := loopModule()
-	sess, err := wasabi.Analyze(m, cov)
+	sess, err := analyze(m, cov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +240,7 @@ func TestTaintThroughMemoryAndCalls(t *testing.T) {
 	taint.Sources[int(src)] = true
 	taint.Sinks[int(sink)] = true
 
-	sess, err := wasabi.Analyze(m, taint)
+	sess, err := analyze(m, taint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package analyses_test
 import (
 	"testing"
 
-	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
 	"wasabi/internal/builder"
@@ -28,7 +27,7 @@ func TestOriginOfZero(t *testing.T) {
 	m := b.Build()
 
 	o := analyses.NewOrigin()
-	sess, err := wasabi.Analyze(m, o)
+	sess, err := analyze(m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestOriginThroughCall(t *testing.T) {
 	m := b.Build()
 
 	o := analyses.NewOrigin()
-	sess, err := wasabi.Analyze(m, o)
+	sess, err := analyze(m, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,6 +123,8 @@ func (tr *StreamTracer) Events(batch []analysis.Event) {
 			continue
 		case analysis.KindStart:
 			tr.emit("%v start", l)
+		case analysis.KindBlockProbe:
+			tr.emit("%v block_probe %v", l, analysis.Location{Func: l.Func, Instr: int(int32(e.Aux))})
 		}
 		i++
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/builder"
 	"wasabi/internal/interp"
@@ -30,7 +29,7 @@ func TestTraceGoldenOrdering(t *testing.T) {
 	f.Done()                    // 7 implicit-return end
 
 	tr := analyses.NewTracer()
-	sess, err := wasabi.Analyze(b.Build(), tr)
+	sess, err := analyze(b.Build(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestTraceNotTakenBranch(t *testing.T) {
 	f.Done()
 
 	tr := analyses.NewTracer()
-	sess, err := wasabi.Analyze(b.Build(), tr)
+	sess, err := analyze(b.Build(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,6 +160,15 @@ var capOfKind = [NumKinds]Cap{
 	KindBlockProbe:  CapBlockCoverage,
 }
 
+// CapOfKind returns the capability bits that make hooks of kind k live
+// (0 for a kind this package does not know).
+func CapOfKind(k HookKind) Cap {
+	if k >= numKinds {
+		return 0
+	}
+	return capOfKind[k]
+}
+
 // HookSet converts capability bits to the coarser HookSet used by the
 // instrumenter: a kind is selected when any of its callbacks is implemented.
 func (c Cap) HookSet() HookSet {

@@ -36,7 +36,8 @@ const EventSynth = uint16(0xFFFE)
 // 8-byte value slots. Records are fixed-width so a batch is a flat
 // []Event with no per-event allocation or pointer chasing.
 //
-// Which fields are meaningful depends on Kind:
+// Which fields are meaningful depends on Kind (for the fixed-shape kinds,
+// the runtime's recordFields table is this table in executable form):
 //
 //	Kind          Aux                  Vals[0]          Vals[1]      Vals[2]
 //	nop/unreach/

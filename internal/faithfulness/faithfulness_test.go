@@ -13,11 +13,11 @@ import (
 	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 	"wasabi/internal/polybench"
 	"wasabi/internal/synthapp"
 	"wasabi/internal/validate"
+	"wasabi/internal/wasm"
 )
 
 const problemSize = 10
@@ -25,6 +25,34 @@ const problemSize = 10
 // TestPolyBenchFaithfulness runs all 30 kernels original vs fully
 // instrumented and compares checksums bit-for-bit (and against the Go
 // reference evaluation).
+// analyze instruments m on a fresh engine for the hooks a implements and
+// binds a session for a.
+func analyze(m *wasm.Module, a any) (*wasabi.Session, error) {
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.InstrumentFor(m, a)
+	if err != nil {
+		return nil, err
+	}
+	return compiled.NewSession(a)
+}
+
+// analyzeHooks instruments m on a fresh engine for an explicit hook set and
+// binds a session for a.
+func analyzeHooks(m *wasm.Module, hooks analysis.HookSet, a any) (*wasabi.Session, error) {
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.InstrumentHooks(m, hooks)
+	if err != nil {
+		return nil, err
+	}
+	return compiled.NewSession(a)
+}
+
 func TestPolyBenchFaithfulness(t *testing.T) {
 	for _, k := range polybench.Kernels() {
 		k := k
@@ -40,7 +68,7 @@ func TestPolyBenchFaithfulness(t *testing.T) {
 				t.Fatalf("original checksum %v != reference %v", orig, want)
 			}
 
-			sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{}, core.Options{Hooks: analysis.AllHooks})
+			sess, err := analyzeHooks(m, analysis.AllHooks, &analyses.Empty{})
 			if err != nil {
 				t.Fatalf("instrument: %v", err)
 			}
@@ -84,8 +112,7 @@ func TestPolyBenchPerHookFaithfulness(t *testing.T) {
 			continue // probes need a static plan; exercised just below
 		}
 		t.Run(kind.String(), func(t *testing.T) {
-			sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{},
-				core.Options{Hooks: analysis.Set(kind)})
+			sess, err := analyzeHooks(m, analysis.Set(kind), &analyses.Empty{})
 			if err != nil {
 				t.Fatalf("instrument: %v", err)
 			}
@@ -150,7 +177,7 @@ func TestSynthAppFaithfulness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: original: %v", seed, err)
 		}
-		sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{}, core.Options{Hooks: analysis.AllHooks})
+		sess, err := analyzeHooks(m, analysis.AllHooks, &analyses.Empty{})
 		if err != nil {
 			t.Fatalf("seed %d: instrument: %v", seed, err)
 		}
@@ -185,7 +212,7 @@ func TestRealAnalysesPreserveBehavior(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := wasabi.Analyze(m, a)
+			sess, err := analyze(m, a)
 			if err != nil {
 				t.Fatalf("instrument: %v", err)
 			}

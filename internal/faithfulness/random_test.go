@@ -4,10 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 	"wasabi/internal/synthapp"
 	"wasabi/internal/validate"
@@ -30,7 +28,7 @@ func TestRandomModulesRandomHookSubsets(t *testing.T) {
 		}
 
 		set := analysis.HookSet(rng.Uint32()) & analysis.AllHooks
-		sess, err := wasabi.AnalyzeWithOptions(m, &analyses.Empty{}, core.Options{Hooks: set})
+		sess, err := analyzeHooks(m, set, &analyses.Empty{})
 		if err != nil {
 			t.Fatalf("trial %d (hooks %s): instrument: %v", trial, set, err)
 		}
@@ -63,7 +61,7 @@ func TestRandomModulesWithRecordingAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 		mix := analyses.NewInstructionMix()
-		sess, err := wasabi.Analyze(m, mix)
+		sess, err := analyze(m, mix)
 		if err != nil {
 			t.Fatal(err)
 		}

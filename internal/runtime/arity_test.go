@@ -17,11 +17,7 @@ import (
 )
 
 func TestHookArityMismatchTrapsNotPanics(t *testing.T) {
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	instrumented, md := instrumentAllKinds(t)
 	rec := &recorder{}
 	rt := New(md, rec)
 	inst, err := interp.Instantiate(instrumented, rt.Imports())

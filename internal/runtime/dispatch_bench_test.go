@@ -1,7 +1,8 @@
 package runtime
 
 // Micro-benchmarks for the compiled trampolines: one per hook kind, hooked
-// (analysis implements the callback) vs no-op-bound (it does not), plus an
+// (analysis implements the callback) vs no-op-bound (it does not), the same
+// per kind for the record encoders (BenchmarkEncode), plus an
 // allocation guard proving that dispatch of EVERY hook is allocation-free —
 // including the slice-carrying ones (call_pre/call_post/return value
 // vectors, br_table's resolved-target table), which hand the analysis a
@@ -50,6 +51,7 @@ func (c *counting) CallPre(analysis.Location, int, []analysis.Value, int64)     
 func (c *counting) CallPost(analysis.Location, []analysis.Value)                     { c.n++ }
 func (c *counting) Return(analysis.Location, []analysis.Value)                       { c.n++ }
 func (c *counting) Start(analysis.Location)                                          { c.n++ }
+func (c *counting) BlockCovered(analysis.Location, int)                              { c.n++ }
 
 // sliceCarrying reports whether dispatching the hook hands the analysis a
 // borrowed vector (the hooks the pooled-buffer convention exists for).
@@ -81,11 +83,7 @@ type dispatchFixture struct {
 
 func newDispatchFixture(t testing.TB) *dispatchFixture {
 	t.Helper()
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	instrumented, md := instrumentAllKinds(t)
 	full := New(md, &counting{})
 	empty := New(md, struct{}{})
 	inst, err := interp.Instantiate(instrumented, full.Imports())
@@ -149,6 +147,33 @@ func BenchmarkDispatch(b *testing.B) {
 				if err := fn(fx.inst, args); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncode is BenchmarkDispatch's twin for the record encoders: one
+// representative spec per kind, encoding into an emitter with no
+// subscription, so every full batch is published to nobody and recycled.
+// The numbers measure the encoder plus the batch hand-off, not a consumer.
+func BenchmarkEncode(b *testing.B) {
+	fx := newDispatchFixture(b)
+	rt := New(fx.md, struct{}{})
+	rt.SetEmitter(NewEmitter(4096), analysis.AllCaps|analysis.CapBlockCoverage) // the engine's default batch size
+	rt.BindInstance(fx.inst)
+	rep := fx.kindRep()
+	for k := analysis.HookKind(0); k < analysis.HookKind(analysis.NumKinds); k++ {
+		i, ok := rep[k]
+		if !ok {
+			continue
+		}
+		spec := fx.specs[i]
+		enc, _ := rt.compileEncoder(spec, spec.Layout(), i)
+		args := synthArgs(spec, spec.Layout().Arity)
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				enc(fx.inst, args)
 			}
 		})
 	}

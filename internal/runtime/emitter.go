@@ -207,6 +207,15 @@ func (em *Emitter) Flush() {
 	for _, s := range subs {
 		if !s.offer(r, em.stopc) {
 			r.release()
+			continue
+		}
+		// A Close that drained the queue between the load of subs and this
+		// enqueue would strand the ref and its batch would never be
+		// counted: release what the departed subscription left queued.
+		select {
+		case <-s.gone:
+			s.releaseQueued()
+		default:
 		}
 	}
 	r.release()
@@ -396,6 +405,22 @@ func (s *Subscription) offer(r *batchRef, stop <-chan struct{}) bool {
 	return false
 }
 
+// releaseQueued releases every ref sitting in the queue without a consumer
+// taking it (recycle counts them dropped).
+func (s *Subscription) releaseQueued() {
+	for {
+		select {
+		case r, ok := <-s.ch:
+			if !ok {
+				return
+			}
+			r.release()
+		default:
+			return
+		}
+	}
+}
+
 // Next returns the next batch, blocking until the producer publishes one or
 // the stream ends (ok == false). The batch is BORROWED and read-only: it is
 // shared with every other subscriber and recycled after the next Next call
@@ -446,21 +471,10 @@ func (s *Subscription) Close() error {
 	}
 	close(s.gone)
 	s.em.removeSub(s)
-	// Release what was queued. A publish racing the removal above can slip
-	// one more ref into the queue after this drain; its buffer is reclaimed
-	// by the GC and replaced in the pool by an allocation — a bounded,
-	// harmless leak, never a stall.
-	for {
-		select {
-		case r, ok := <-s.ch:
-			if !ok {
-				return nil
-			}
-			r.release()
-		default:
-			return nil
-		}
-	}
+	// Release what was queued. A publish racing the removal above releases
+	// what it enqueues after this drain itself (Flush checks gone).
+	s.releaseQueued()
+	return nil
 }
 
 // Dropped returns how many event records were skipped for this

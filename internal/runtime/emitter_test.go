@@ -327,3 +327,44 @@ func TestSubscriptionCloseMidStream(t *testing.T) {
 		t.Errorf("late subscriber saw %d events, want at least the last 8", len(lateGot))
 	}
 }
+
+// TestCloseRacingFlushCountsEveryBatch is the regression test for a batch
+// stranded by Subscription.Close racing a publish: Flush loads the
+// subscription list, Close drains the queue, and only then does the publish
+// enqueue its ref, which nobody would ever release. Every batch must end up
+// either taken by the consumer or counted in Emitter.Dropped. The race is
+// narrow, so the scenario repeats.
+func TestCloseRacingFlushCountsEveryBatch(t *testing.T) {
+	const batches = 200
+	runs := 2000
+	if testing.Short() {
+		runs = 200
+	}
+	for run := 0; run < runs; run++ {
+		em := NewEmitter(1)
+		sub := mustSubscribe(t, em, 1, Drop)
+		taken := 0
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for taken < 3 {
+				if _, ok := sub.Next(); !ok {
+					break
+				}
+				taken++
+			}
+			if err := sub.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+		for i := 0; i < batches; i++ {
+			em.emit(analysis.Event{Aux: uint32(i)})
+			em.Flush()
+		}
+		em.Close()
+		<-done
+		if got := uint64(taken) + em.Dropped(); got != batches {
+			t.Fatalf("run %d: %d taken + %d dropped = %d batches, want %d", run, taken, em.Dropped(), got, batches)
+		}
+	}
+}

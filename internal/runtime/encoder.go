@@ -5,17 +5,25 @@ package runtime
 // hook-argument vector and calls analysis Go code; an encoder decodes the
 // same vector — through the same precomputed HookSpec.Layout() offsets,
 // including the i64 lo/hi re-joins — and instead appends one packed
-// analysis.Event record to the session's Emitter. Everything static about a
-// record (hook index, kind, Pack byte, slot offsets and types, continuation
-// plan) is computed once here, at Imports() time; the per-event path only
-// copies words.
+// analysis.Event record to the session's Emitter.
+//
+// Every fixed-shape kind is encoded by one table-driven closure: the kind's
+// recordFields row names the HookSpec.Types entry whose lowered word becomes
+// Aux and the entries copied into Vals, which makes the field table in
+// analysis/event.go executable. A new fixed-shape kind needs one row here,
+// one trampoline case, and one case in the test-only reference dispatcher.
+// Call and return (value vectors that spill into continuation records) and
+// br_table (end replay from metadata) keep specialized encoders. Everything
+// static about a record (hook index, kind, Pack byte, slot offsets and
+// types, continuation plan) is computed once here, at Imports() time; the
+// per-event path only copies words.
 //
 // Encoders use the interpreter's Emit host-call convention (the record-emit
 // twin of Fast, see iCallHostEmit): args is a read-only stack window, never
 // retained, and failure is reported only by a trap panic — the hot loop has
-// no error check. Hooks outside the stream capability set compile to a
-// shared no-op and are elided by the interpreter exactly like dead callback
-// hooks.
+// no error check. Hooks outside the stream capability set (see live)
+// compile to a shared no-op and are elided by the interpreter exactly like
+// dead callback hooks.
 //
 // Flush points, per the stream contract: batch-full (Emitter.emit),
 // top-level call completion (the session installs Emitter.Flush as the
@@ -23,8 +31,6 @@ package runtime
 // and explicit Emitter.Flush/Close.
 
 import (
-	"fmt"
-
 	"wasabi/internal/analysis"
 	"wasabi/internal/core"
 	"wasabi/internal/interp"
@@ -38,26 +44,40 @@ type emitFn = func(inst *interp.Instance, args []interp.Value)
 // nopEmit is the shared encoder of every hook outside the stream caps.
 func nopEmit(*interp.Instance, []interp.Value) {}
 
-// emitArity panics with the same trap a trampoline would return when the
-// lowered argument vector does not match the spec (Emit has no error path).
-func emitArity(name string, want, got int) {
-	panic(&interp.Trap{
-		Code: TrapInvalidMetadata,
-		Info: fmt.Sprintf("hook %s called with %d lowered args, want %d", name, got, want),
-	})
+// noAux marks a recordFields row whose records leave Aux zero.
+const noAux = -1
+
+// recordField is one fixed-shape kind's row of the record-field table: the
+// HookSpec.Types index whose lowered word becomes Event.Aux (noAux: none)
+// and the Types indices that fill Event.Vals, in slot order.
+type recordField struct {
+	aux  int
+	vals []int
 }
 
-// rawAt decodes the raw 64-bit representation of one logical value at its
-// precomputed lowered offset, re-joining i64 (lo, hi) halves. It is
-// valueAt without the type box — Event records carry raw bits, the types
-// live in the EventTable.
-func rawAt(args []interp.Value, off int, t wasm.ValType) uint64 {
-	if t == wasm.I64 {
-		lo := uint64(uint32(args[off]))
-		hi := uint64(uint32(args[off+1]))
-		return hi<<32 | lo
-	}
-	return args[off]
+// recordFields is the field table of analysis.Event in executable form, one
+// row per fixed-shape kind. Call, return and br_table have no row.
+var recordFields = [analysis.NumKinds]*recordField{
+	analysis.KindNop:         {aux: noAux},
+	analysis.KindUnreachable: {aux: noAux},
+	analysis.KindStart:       {aux: noAux},
+	analysis.KindBegin:       {aux: noAux},
+	analysis.KindIf:          {aux: 0},                           // condition
+	analysis.KindEnd:         {aux: 0},                           // begin instr; Vals[0] is set per spec
+	analysis.KindMemorySize:  {aux: 0},                           // current pages
+	analysis.KindBlockProbe:  {aux: 0},                           // block end instr
+	analysis.KindBr:          {aux: 0, vals: []int{1}},           // label; target instr
+	analysis.KindBrIf:        {aux: 2, vals: []int{0, 1}},        // condition; label, target instr
+	analysis.KindConst:       {aux: noAux, vals: []int{0}},       // value
+	analysis.KindDrop:        {aux: noAux, vals: []int{0}},       // value
+	analysis.KindSelect:      {aux: 0, vals: []int{1, 2}},        // condition; first, second
+	analysis.KindUnary:       {aux: noAux, vals: []int{0, 1}},    // input, result
+	analysis.KindBinary:      {aux: noAux, vals: []int{0, 1, 2}}, // first, second, result
+	analysis.KindLocal:       {aux: 0, vals: []int{1}},           // index; value
+	analysis.KindGlobal:      {aux: 0, vals: []int{1}},           // index; value
+	analysis.KindLoad:        {aux: 0, vals: []int{1, 2}},        // static offset; address, value
+	analysis.KindStore:       {aux: 0, vals: []int{1, 2}},        // static offset; address, value
+	analysis.KindMemoryGrow:  {aux: 0, vals: []int{1}},           // delta; previous pages
 }
 
 // setLoc fills the location header from the two leading location words.
@@ -144,308 +164,67 @@ func emitGroup(em *Emitter, e analysis.Event, recs []encRec, args []interp.Value
 // stream capability set cannot observe this hook, so the interpreter may
 // elide its call sites; the returned fn is still always callable.
 func (r *Runtime) compileEncoder(spec *core.HookSpec, lay core.ArgLayout, hookIdx int) (fn emitFn, noop bool) {
-	caps := r.streamCaps
-	em := r.emitter
-	arity := lay.Arity
-	name := spec.Name
+	if !live(r.streamCaps, spec) {
+		return nopEmit, true
+	}
 	tmpl := analysis.Event{Hook: uint16(hookIdx), Kind: spec.Kind}
-
-	// locOnly is the shared shape of the payload-less hooks.
-	locOnly := func() emitFn {
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			em.emit(e)
-		}
-	}
-	// auxOnly carries one scalar from lowered offset 2 in Aux.
-	auxOnly := func() emitFn {
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2])
-			em.emit(e)
-		}
-	}
-
 	switch spec.Kind {
-	case analysis.KindNop:
-		if !caps.Has(analysis.CapNop) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindUnreachable:
-		if !caps.Has(analysis.CapUnreachable) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindStart:
-		if !caps.Has(analysis.CapStart) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindBegin:
-		if !caps.Has(analysis.CapBegin) {
-			return nopEmit, true
-		}
-		return locOnly(), false
-
-	case analysis.KindIf:
-		if !caps.Has(analysis.CapIf) {
-			return nopEmit, true
-		}
-		return auxOnly(), false
-
+	case analysis.KindCall:
+		return r.callEncoder(tmpl, spec, lay), false
+	case analysis.KindReturn:
+		return r.groupEncoder(tmpl, spec.Name, lay.Arity, planValues(lay.Offs, spec.Types, 0)), false
+	case analysis.KindBrTable:
+		return r.brTableEncoder(tmpl, spec.Name, lay.Arity), false
 	case analysis.KindEnd:
-		if !caps.Has(analysis.CapEnd) {
-			return nopEmit, true
-		}
-		// Aux = begin instruction index; Vals[0] = block kind code, so end
-		// records decode without a spec (matching the synthesized br_table
-		// replays).
+		// Vals[0] = block kind code, so end records decode without a spec
+		// (matching the synthesized br_table replays).
 		tmpl.Pack = analysis.PackSlots(wasm.I32)
 		tmpl.Vals[0] = uint64(spec.Block.Code())
-		return auxOnly(), false
-
-	case analysis.KindMemorySize:
-		if !caps.Has(analysis.CapMemorySize) {
-			return nopEmit, true
-		}
-		return auxOnly(), false
-
-	case analysis.KindBlockProbe:
-		// Aux = the block's last original instruction index.
-		if !caps.Has(analysis.CapBlockCoverage) {
-			return nopEmit, true
-		}
-		return auxOnly(), false
-
-	case analysis.KindBr:
-		if !caps.Has(analysis.CapBr) {
-			return nopEmit, true
-		}
-		tmpl.Pack = analysis.PackSlots(wasm.I32)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2])     // raw label
-			e.Vals[0] = uint64(args[3]) // resolved target instruction
-			em.emit(e)
-		}, false
-
-	case analysis.KindBrIf:
-		if !caps.Has(analysis.CapBrIf) {
-			return nopEmit, true
-		}
-		tmpl.Pack = analysis.PackSlots(wasm.I32, wasm.I32)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[4]) // condition
-			e.Vals[0] = uint64(args[2])
-			e.Vals[1] = uint64(args[3])
-			em.emit(e)
-		}, false
-
-	case analysis.KindBrTable:
-		if !caps.HasAny(analysis.CapBrTable | analysis.CapEnd) {
-			return nopEmit, true
-		}
-		return r.brTableEncoder(tmpl, name, arity), false
-
-	case analysis.KindConst:
-		if !caps.Has(analysis.CapConst) {
-			return nopEmit, true
-		}
-		return r.valueEncoder(tmpl, name, arity, 2, spec.Types[0]), false
-
-	case analysis.KindDrop:
-		if !caps.Has(analysis.CapDrop) {
-			return nopEmit, true
-		}
-		return r.valueEncoder(tmpl, name, arity, 2, spec.Types[0]), false
-
-	case analysis.KindSelect:
-		if !caps.Has(analysis.CapSelect) {
-			return nopEmit, true
-		}
-		t := spec.Types[1]
-		o1, o2 := lay.Offs[1], lay.Offs[2]
-		tmpl.Pack = analysis.PackSlots(t, t)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2]) // condition
-			e.Vals[0] = rawAt(args, o1, t)
-			e.Vals[1] = rawAt(args, o2, t)
-			em.emit(e)
-		}, false
-
-	case analysis.KindUnary:
-		if !caps.Has(analysis.CapUnary) {
-			return nopEmit, true
-		}
-		tIn, tOut := spec.Types[0], spec.Types[1]
-		oOut := lay.Offs[1]
-		tmpl.Pack = analysis.PackSlots(tIn, tOut)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Vals[0] = rawAt(args, 2, tIn)
-			e.Vals[1] = rawAt(args, oOut, tOut)
-			em.emit(e)
-		}, false
-
-	case analysis.KindBinary:
-		if !caps.Has(analysis.CapBinary) {
-			return nopEmit, true
-		}
-		t0, t1, t2 := spec.Types[0], spec.Types[1], spec.Types[2]
-		o1, o2 := lay.Offs[1], lay.Offs[2]
-		tmpl.Pack = analysis.PackSlots(t0, t1, t2)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Vals[0] = rawAt(args, 2, t0)
-			e.Vals[1] = rawAt(args, o1, t1)
-			e.Vals[2] = rawAt(args, o2, t2)
-			em.emit(e)
-		}, false
-
-	case analysis.KindLocal:
-		if !caps.Has(analysis.CapLocal) {
-			return nopEmit, true
-		}
-		return r.indexedEncoder(tmpl, name, arity, spec.Types[1]), false
-
-	case analysis.KindGlobal:
-		if !caps.Has(analysis.CapGlobal) {
-			return nopEmit, true
-		}
-		return r.indexedEncoder(tmpl, name, arity, spec.Types[1]), false
-
-	case analysis.KindLoad:
-		if !caps.Has(analysis.CapLoad) {
-			return nopEmit, true
-		}
-		return r.memEncoder(tmpl, name, arity, spec.Types[2]), false
-
-	case analysis.KindStore:
-		if !caps.Has(analysis.CapStore) {
-			return nopEmit, true
-		}
-		return r.memEncoder(tmpl, name, arity, spec.Types[2]), false
-
-	case analysis.KindMemoryGrow:
-		if !caps.Has(analysis.CapMemoryGrow) {
-			return nopEmit, true
-		}
-		tmpl.Pack = analysis.PackSlots(wasm.I32)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			e.Aux = uint32(args[2])     // delta
-			e.Vals[0] = uint64(args[3]) // previous size
-			em.emit(e)
-		}, false
-
-	case analysis.KindCall:
-		return r.callEncoder(tmpl, spec, lay)
-
-	case analysis.KindReturn:
-		if !caps.Has(analysis.CapReturn) {
-			return nopEmit, true
-		}
-		recs := planValues(lay.Offs, spec.Types, 0)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			emitGroup(em, e, recs, args)
-		}, false
 	}
-
-	// Unknown kind (newer metadata than this runtime): never observable.
-	return nopEmit, true
+	return r.fieldEncoder(tmpl, spec, lay, recordFields[spec.Kind]), false
 }
 
-// valueEncoder carries one typed value at lowered offset off in Vals[0]
-// (const, drop).
-func (r *Runtime) valueEncoder(tmpl analysis.Event, name string, arity, off int, t wasm.ValType) emitFn {
+// fieldEncoder is the one encoder of every fixed-shape kind: it copies the
+// Aux word and the Vals slots its recordFields row names.
+func (r *Runtime) fieldEncoder(tmpl analysis.Event, spec *core.HookSpec, lay core.ArgLayout, row *recordField) emitFn {
 	em := r.emitter
-	tmpl.Pack = analysis.PackSlots(t)
+	arity, name := lay.Arity, spec.Name
+	auxOff := noAux
+	if row.aux != noAux {
+		auxOff = lay.Offs[row.aux]
+	}
+	rec := encRec{slots: make([]encSlot, len(row.vals))}
+	for i, ti := range row.vals {
+		rec.slots[i] = encSlot{off: lay.Offs[ti], t: spec.Types[ti]}
+	}
+	if len(rec.slots) > 0 {
+		tmpl.Pack = analysis.PackSlots(slotTypes(rec.slots)...)
+	}
 	return func(_ *interp.Instance, args []interp.Value) {
 		if len(args) != arity {
-			emitArity(name, arity, len(args))
+			panic(arityTrap(name, arity, len(args)))
 		}
 		e := tmpl
 		setLoc(&e, args)
-		e.Vals[0] = rawAt(args, off, t)
+		if auxOff != noAux {
+			e.Aux = uint32(args[auxOff])
+		}
+		fillRec(&e, &rec, args)
 		em.emit(e)
 	}
 }
 
-// indexedEncoder carries a variable index in Aux and one typed value in
-// Vals[0] (local, global).
-func (r *Runtime) indexedEncoder(tmpl analysis.Event, name string, arity int, t wasm.ValType) emitFn {
+// groupEncoder emits a value vector as a primary record plus continuations
+// (return, call_post).
+func (r *Runtime) groupEncoder(tmpl analysis.Event, name string, arity int, recs []encRec) emitFn {
 	em := r.emitter
-	tmpl.Pack = analysis.PackSlots(t)
 	return func(_ *interp.Instance, args []interp.Value) {
 		if len(args) != arity {
-			emitArity(name, arity, len(args))
+			panic(arityTrap(name, arity, len(args)))
 		}
 		e := tmpl
 		setLoc(&e, args)
-		e.Aux = uint32(args[2])
-		e.Vals[0] = rawAt(args, 3, t)
-		em.emit(e)
-	}
-}
-
-// memEncoder carries the static offset in Aux, the dynamic address in
-// Vals[0], and the accessed value in Vals[1] (load, store).
-func (r *Runtime) memEncoder(tmpl analysis.Event, name string, arity int, t wasm.ValType) emitFn {
-	em := r.emitter
-	tmpl.Pack = analysis.PackSlots(wasm.I32, t)
-	return func(_ *interp.Instance, args []interp.Value) {
-		if len(args) != arity {
-			emitArity(name, arity, len(args))
-		}
-		e := tmpl
-		setLoc(&e, args)
-		e.Aux = uint32(args[2])     // static offset
-		e.Vals[0] = uint64(args[3]) // address
-		e.Vals[1] = rawAt(args, 4, t)
-		em.emit(e)
+		emitGroup(em, e, recs, args)
 	}
 }
 
@@ -453,68 +232,38 @@ func (r *Runtime) memEncoder(tmpl analysis.Event, name string, arity int, t wasm
 // callTrampoline: call_post, direct call_pre, and indirect call_pre with
 // table resolution. Argument/result vectors that exceed the record's free
 // slots spill into continuation records (see planValues).
-func (r *Runtime) callEncoder(tmpl analysis.Event, spec *core.HookSpec, lay core.ArgLayout) (emitFn, bool) {
-	caps := r.streamCaps
+func (r *Runtime) callEncoder(tmpl analysis.Event, spec *core.HookSpec, lay core.ArgLayout) emitFn {
 	em := r.emitter
-	arity := lay.Arity
-	name := spec.Name
-
+	arity, name := lay.Arity, spec.Name
 	if spec.Post {
-		if !caps.Has(analysis.CapCallPost) {
-			return nopEmit, true
-		}
-		recs := planValues(lay.Offs, spec.Types, 0)
-		return func(_ *interp.Instance, args []interp.Value) {
-			if len(args) != arity {
-				emitArity(name, arity, len(args))
-			}
-			e := tmpl
-			setLoc(&e, args)
-			emitGroup(em, e, recs, args)
-		}, false
-	}
-	if !caps.Has(analysis.CapCallPre) {
-		return nopEmit, true
+		return r.groupEncoder(tmpl, name, arity, planValues(lay.Offs, spec.Types, 0))
 	}
 	// Vals[0] holds the table index (i64, -1 for direct calls); the callee
 	// arguments start at slot 1. Types[0] is the i32 target / table index.
 	recs := planValues(lay.Offs[1:], spec.Types[1:], 1, wasm.I64)
 	if !spec.Indirect {
+		tmpl.Vals[0] = ^uint64(0) // table index -1: direct call
 		return func(_ *interp.Instance, args []interp.Value) {
 			if len(args) != arity {
-				emitArity(name, arity, len(args))
+				panic(arityTrap(name, arity, len(args)))
 			}
 			e := tmpl
 			setLoc(&e, args)
 			e.Aux = uint32(args[2]) // target function index (original space)
-			e.Vals[0] = ^uint64(0)  // table index -1: direct call
 			emitGroup(em, e, recs, args)
-		}, false
+		}
 	}
-	meta := r.meta
 	return func(inst *interp.Instance, args []interp.Value) {
 		if len(args) != arity {
-			emitArity(name, arity, len(args))
+			panic(arityTrap(name, arity, len(args)))
 		}
 		tblIdx := uint32(args[2])
-		// Same resolution as the callback trampoline: prefer the calling
-		// instance, fall back to the explicitly bound one.
-		ri := inst
-		if ri == nil {
-			ri = r.inst
-		}
-		target := -1
-		if ri != nil {
-			if fidx := ri.ResolveTable(tblIdx); fidx >= 0 {
-				target = meta.OriginalFuncIdx(int(fidx))
-			}
-		}
 		e := tmpl
 		setLoc(&e, args)
-		e.Aux = uint32(int32(target))
+		e.Aux = uint32(int32(r.resolveIndirect(inst, tblIdx)))
 		e.Vals[0] = uint64(int64(tblIdx))
 		emitGroup(em, e, recs, args)
-	}, false
+	}
 }
 
 // brTableEncoder handles the one hook whose encoding consults metadata at
@@ -524,7 +273,6 @@ func (r *Runtime) callEncoder(tmpl analysis.Event, spec *core.HookSpec, lay core
 // callback dispatcher produces.
 func (r *Runtime) brTableEncoder(tmpl analysis.Event, name string, arity int) emitFn {
 	em := r.emitter
-	meta := r.meta
 	emitEnds := r.streamCaps.Has(analysis.CapEnd)
 	emitTable := r.streamCaps.Has(analysis.CapBrTable)
 	// Replayed end records reference the end hook's table index per block
@@ -532,9 +280,9 @@ func (r *Runtime) brTableEncoder(tmpl analysis.Event, name string, arity int) em
 	// end hooks (the replay data lives in the br_table metadata either way)
 	// they carry the EventSynth sentinel and decode by Kind + kind code.
 	endHook := map[analysis.BlockKind]uint16{}
-	for i := range meta.Hooks {
-		if meta.Hooks[i].Kind == analysis.KindEnd {
-			endHook[meta.Hooks[i].Block] = uint16(i)
+	for i := range r.meta.Hooks {
+		if r.meta.Hooks[i].Kind == analysis.KindEnd {
+			endHook[r.meta.Hooks[i].Block] = uint16(i)
 		}
 	}
 	endHookOf := func(k analysis.BlockKind) uint16 {
@@ -546,22 +294,15 @@ func (r *Runtime) brTableEncoder(tmpl analysis.Event, name string, arity int) em
 	packI32 := analysis.PackSlots(wasm.I32) // precomputed like every template Pack
 	return func(_ *interp.Instance, args []interp.Value) {
 		if len(args) != arity {
-			emitArity(name, arity, len(args))
+			panic(arityTrap(name, arity, len(args)))
 		}
 		e := tmpl
 		setLoc(&e, args)
 		metaIdx := int(int32(uint32(args[2])))
 		idx := uint32(args[3])
-		if metaIdx < 0 || metaIdx >= len(meta.BrTables) {
-			panic(&interp.Trap{
-				Code: TrapInvalidMetadata,
-				Info: fmt.Sprintf("br_table metadata index %d out of range (have %d) at %v", metaIdx, len(meta.BrTables), e.Loc()),
-			})
-		}
-		info := &meta.BrTables[metaIdx]
-		taken := info.Default
-		if int(idx) < len(info.Targets) {
-			taken = info.Targets[idx]
+		_, taken, trap := r.brTableTaken(e.Loc(), metaIdx, idx)
+		if trap != nil {
+			panic(trap)
 		}
 		if emitEnds {
 			for _, end := range taken.Ends {

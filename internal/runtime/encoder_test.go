@@ -10,6 +10,7 @@ package runtime
 // TestDispatchZeroAllocs's twin for the stream path.
 
 import (
+	"fmt"
 	"testing"
 
 	"wasabi/internal/analyses"
@@ -34,13 +35,9 @@ type encoderFixture struct {
 
 func newEncoderFixture(t testing.TB, batchSize int, mode Backpressure) *encoderFixture {
 	t.Helper()
-	m := parityModule()
-	instrumented, md, err := core.Instrument(m, core.Options{Hooks: analysis.AllHooks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	instrumented, md := instrumentAllKinds(t)
 	tracer := analyses.NewTracer()
-	rtT := New(md, tracer)
+	rtT := New(md, probeTracer{tracer})
 
 	em := NewEmitter(batchSize)
 	sub, err := em.Subscribe(StreamQueue, mode)
@@ -48,13 +45,14 @@ func newEncoderFixture(t testing.TB, batchSize int, mode Backpressure) *encoderF
 		t.Fatal(err)
 	}
 	rtE := New(md, struct{}{})
-	rtE.SetEmitter(em, analysis.AllCaps)
+	rtE.SetEmitter(em, analysis.AllCaps|analysis.CapBlockCoverage) // AllCaps leaves block probes out
 
 	inst, err := interp.Instantiate(instrumented, rtT.Imports())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtE.BindInstance(inst)
+	tracer.Events = nil // drop what the start function traced while instantiating
 
 	fx := &encoderFixture{md: md, inst: inst, em: em, sub: sub, tracer: tracer}
 	for i := range md.Hooks {
@@ -74,6 +72,15 @@ func newEncoderFixture(t testing.TB, batchSize int, mode Backpressure) *encoderF
 		fx.encNoop = append(fx.encNoop, en)
 	}
 	return fx
+}
+
+// probeTracer gives the callback Tracer the block-probe callback it leaves
+// out (implementing it would opt the Tracer into block-probe
+// instrumentation on static-analysis engines), in StreamTracer's format.
+type probeTracer struct{ *analyses.Tracer }
+
+func (p probeTracer) BlockCovered(l analysis.Location, end int) {
+	p.Events = append(p.Events, fmt.Sprintf("%v block_probe %v", l, analysis.Location{Func: l.Func, Instr: end}))
 }
 
 func TestEncoderParityWithTrampolines(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"wasabi/internal/builder"
 	"wasabi/internal/core"
 	"wasabi/internal/interp"
+	"wasabi/internal/static"
 	"wasabi/internal/wasm"
 )
 
@@ -79,6 +80,9 @@ func (r *recorder) Return(l analysis.Location, res []analysis.Value) {
 	r.log("return %v %v", l, res)
 }
 func (r *recorder) Start(l analysis.Location) { r.log("start %v", l) }
+func (r *recorder) BlockCovered(l analysis.Location, end int) {
+	r.log("block_probe %v %d", l, end)
+}
 
 // parityModule generates hooks covering every kind and every lowered layout
 // shape, including i64 monomorphizations, a br_table (for metadata), an
@@ -123,7 +127,40 @@ func parityModule() *wasm.Module {
 	f.Get(0)
 	f.Done()
 	b.Elem(0, callee.Index)
+	start := b.Func("", nil, nil) // start function: generates the start hook
+	start.Op(wasm.OpNop)
+	start.Done()
+	b.Start(start.Index)
 	return b.Build()
+}
+
+// instrumentAllKinds instruments the parity module for every hook kind:
+// AllHooks plus one block probe per reachable CFG block from a static plan.
+// It fails the test unless the metadata holds at least one spec of each of
+// the analysis.NumKinds kinds, so the per-spec suites built on it cover
+// every row of the dispatch and record-field tables.
+func instrumentAllKinds(t testing.TB) (*wasm.Module, *core.Metadata) {
+	t.Helper()
+	m := parityModule()
+	hooks := analysis.AllHooks.With(analysis.KindBlockProbe)
+	plan, err := static.PlanFor(m, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrumented, md, err := core.Instrument(m, core.Options{Hooks: hooks, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[analysis.HookKind]bool{}
+	for i := range md.Hooks {
+		seen[md.Hooks[i].Kind] = true
+	}
+	for k := analysis.HookKind(0); k < analysis.HookKind(analysis.NumKinds); k++ {
+		if !seen[k] {
+			t.Fatalf("fixture generated no %v hook", k)
+		}
+	}
+	return instrumented, md
 }
 
 // synthArgs builds a deterministic lowered argument vector for a spec: every

@@ -6,7 +6,11 @@ package runtime
 // argReader, rebuilding the opcode name — compileTrampoline does all of that
 // once, at Imports() time, and returns a closure that already knows its
 // callback, its interned op name, its lowered argument layout (including the
-// i64 lo/hi re-join offsets), and its exact arity.
+// i64 lo/hi re-join offsets), and its exact arity. Trampolines stay
+// hand-specialized per kind: decoding into a generic record first would
+// double the per-hook cost. A new fixed-shape kind needs one case here, one
+// recordFields row in encoder.go, and one case in the test-only reference
+// dispatcher.
 //
 // Trampolines use the interpreter's zero-copy host-call convention
 // (interp.HostFunc.Fast): args is a read-only window aliasing the caller's
@@ -20,6 +24,8 @@ package runtime
 // Hooks whose callbacks the analysis does not implement compile to a shared
 // no-op and are reported as such, which lets the interpreter's compile pass
 // elide the call and its argument lowering entirely (dead-hook elision).
+// Which hooks are live is decided by live, one rule for trampolines and
+// record encoders alike.
 
 import (
 	"fmt"
@@ -37,11 +43,30 @@ type hookFn = func(inst *interp.Instance, args []interp.Value) error
 // nopHook is the shared trampoline of every hook the analysis ignores.
 func nopHook(*interp.Instance, []interp.Value) error { return nil }
 
+// live reports whether a consumer with capability bits caps can observe the
+// hook spec, on either dispatch path. call_pre and call_post are told apart
+// by HookSpec.Post, and br_table is live for its own callback and for end:
+// the runtime half of the dynamic block-nesting mechanism (paper §2.4.5)
+// replays the end hooks of the blocks the taken branch leaves. Unknown
+// kinds (newer metadata than this runtime) are never live.
+func live(caps analysis.Cap, spec *core.HookSpec) bool {
+	switch {
+	case spec.Kind == analysis.KindCall && spec.Post:
+		return caps.Has(analysis.CapCallPost)
+	case spec.Kind == analysis.KindCall:
+		return caps.Has(analysis.CapCallPre)
+	case spec.Kind == analysis.KindBrTable:
+		return caps.HasAny(analysis.CapBrTable | analysis.CapEnd)
+	}
+	return caps.HasAny(analysis.CapOfKind(spec.Kind))
+}
+
 // arityTrap reports a hook call whose lowered argument vector does not match
 // the spec — possible only when an embedder corrupts or mixes up Metadata,
 // or invokes a hook import directly with the wrong arguments. It surfaces as
-// a trap, never as an index-out-of-range panic of the host process.
-func arityTrap(name string, want, got int) error {
+// a trap (returned by trampolines, panicked by encoders, which have no error
+// path), never as an index-out-of-range panic of the host process.
+func arityTrap(name string, want, got int) *interp.Trap {
 	return &interp.Trap{
 		Code: TrapInvalidMetadata,
 		Info: fmt.Sprintf("hook %s called with %d lowered args, want %d", name, got, want),
@@ -53,15 +78,20 @@ func hookLoc(args []interp.Value) analysis.Location {
 	return analysis.Location{Func: int(int32(uint32(args[0]))), Instr: int(int32(uint32(args[1])))}
 }
 
-// valueAt decodes one logical value at the precomputed lowered offset,
-// re-joining i64 (lo, hi) halves.
-func valueAt(args []interp.Value, off int, t wasm.ValType) analysis.Value {
+// rawAt decodes the raw 64-bit representation of one logical value at its
+// precomputed lowered offset, re-joining i64 (lo, hi) halves.
+func rawAt(args []interp.Value, off int, t wasm.ValType) uint64 {
 	if t == wasm.I64 {
 		lo := uint64(uint32(args[off]))
 		hi := uint64(uint32(args[off+1]))
-		return analysis.Value{Type: wasm.I64, Bits: hi<<32 | lo}
+		return hi<<32 | lo
 	}
-	return analysis.Value{Type: t, Bits: args[off]}
+	return args[off]
+}
+
+// valueAt is rawAt with the value's type attached.
+func valueAt(args []interp.Value, off int, t wasm.ValType) analysis.Value {
+	return analysis.Value{Type: t, Bits: rawAt(args, off, t)}
 }
 
 // fillValues decodes a value vector with precomputed offsets into a borrowed
@@ -70,6 +100,40 @@ func fillValues(vs []analysis.Value, args []interp.Value, offs []int, ts []wasm.
 	for i, t := range ts {
 		vs[i] = valueAt(args, offs[i], t)
 	}
+}
+
+// resolveIndirect maps the runtime table index of a call_indirect to the
+// actually called function in the original index space (paper §2.3), or -1
+// when the slot is empty or out of range. The instance making the call is
+// preferred over the explicitly bound one, so hooks that fire during the
+// start function resolve correctly without BindInstance having run.
+func (r *Runtime) resolveIndirect(inst *interp.Instance, tblIdx uint32) int {
+	if inst == nil {
+		inst = r.inst
+	}
+	if inst != nil {
+		if fidx := inst.ResolveTable(tblIdx); fidx >= 0 {
+			return r.meta.OriginalFuncIdx(int(fidx))
+		}
+	}
+	return -1
+}
+
+// brTableTaken looks up the br_table metadata record a hook call names and
+// the entry its runtime index selects (the default past the end of the
+// table). An out-of-range metadata index traps with TrapInvalidMetadata.
+func (r *Runtime) brTableTaken(loc analysis.Location, metaIdx int, idx uint32) (*core.BrTableInfo, *core.ResolvedTarget, *interp.Trap) {
+	if metaIdx < 0 || metaIdx >= len(r.meta.BrTables) {
+		return nil, nil, &interp.Trap{
+			Code: TrapInvalidMetadata,
+			Info: fmt.Sprintf("br_table metadata index %d out of range (have %d) at %v", metaIdx, len(r.meta.BrTables), loc),
+		}
+	}
+	info := &r.meta.BrTables[metaIdx]
+	if int(idx) < len(info.Targets) {
+		return info, &info.Targets[idx], nil
+	}
+	return info, &info.Default, nil
 }
 
 // locOnly builds the trampoline shape shared by the hooks whose only
@@ -91,59 +155,49 @@ func locOnly(cb func(analysis.Location), name string, arity int) hookFn {
 // interpreter may elide its call sites outright; the returned fn is still
 // always callable (the shared no-op).
 func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn hookFn, noop bool) {
+	if !live(r.caps, spec) {
+		return nopHook, true
+	}
+	return r.trampoline(spec, lay), false
+}
+
+// trampoline builds the closure of one live hook.
+func (r *Runtime) trampoline(spec *core.HookSpec, lay core.ArgLayout) hookFn {
 	arity := lay.Arity
 	name := spec.Name
 
 	switch spec.Kind {
 	case analysis.KindNop:
-		if !r.caps.Has(analysis.CapNop) {
-			return nopHook, true
-		}
-		return locOnly(r.nop, name, arity), false
+		return locOnly(r.nop, name, arity)
 
 	case analysis.KindUnreachable:
-		if !r.caps.Has(analysis.CapUnreachable) {
-			return nopHook, true
-		}
-		return locOnly(r.unreachable, name, arity), false
+		return locOnly(r.unreachable, name, arity)
 
 	case analysis.KindStart:
-		if !r.caps.Has(analysis.CapStart) {
-			return nopHook, true
-		}
-		return locOnly(r.start, name, arity), false
+		return locOnly(r.start, name, arity)
 
 	case analysis.KindBlockProbe:
 		cb := r.blockCov
-		if !r.caps.Has(analysis.CapBlockCoverage) {
-			return nopHook, true
-		}
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
 				return arityTrap(name, arity, len(args))
 			}
 			cb(hookLoc(args), int(int32(uint32(args[2]))))
 			return nil
-		}, false
+		}
 
 	case analysis.KindIf:
 		cb := r.ifHook
-		if !r.caps.Has(analysis.CapIf) {
-			return nopHook, true
-		}
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
 				return arityTrap(name, arity, len(args))
 			}
 			cb(hookLoc(args), uint32(args[2]) != 0)
 			return nil
-		}, false
+		}
 
 	case analysis.KindBr:
 		cb := r.br
-		if !r.caps.Has(analysis.CapBr) {
-			return nopHook, true
-		}
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
 				return arityTrap(name, arity, len(args))
@@ -154,13 +208,10 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 				Location: analysis.Location{Func: loc.Func, Instr: int(int32(uint32(args[3])))},
 			})
 			return nil
-		}, false
+		}
 
 	case analysis.KindBrIf:
 		cb := r.brIf
-		if !r.caps.Has(analysis.CapBrIf) {
-			return nopHook, true
-		}
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
 				return arityTrap(name, arity, len(args))
@@ -171,23 +222,13 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 				Location: analysis.Location{Func: loc.Func, Instr: int(int32(uint32(args[3])))},
 			}, uint32(args[4]) != 0)
 			return nil
-		}, false
+		}
 
 	case analysis.KindBrTable:
-		// The br_table hook is live when either the br_table callback or the
-		// end callback is implemented: the runtime half of the dynamic
-		// block-nesting mechanism (paper §2.4.5) replays the end hooks of the
-		// blocks left by the taken branch.
-		if !r.caps.HasAny(analysis.CapBrTable | analysis.CapEnd) {
-			return nopHook, true
-		}
-		return r.brTableTrampoline(name, arity), false
+		return r.brTableTrampoline(name, arity)
 
 	case analysis.KindBegin:
 		cb := r.begin
-		if !r.caps.Has(analysis.CapBegin) {
-			return nopHook, true
-		}
 		block := spec.Block
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
@@ -195,13 +236,10 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 			}
 			cb(hookLoc(args), block)
 			return nil
-		}, false
+		}
 
 	case analysis.KindEnd:
 		cb := r.end
-		if !r.caps.Has(analysis.CapEnd) {
-			return nopHook, true
-		}
 		block := spec.Block
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
@@ -210,12 +248,12 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 			loc := hookLoc(args)
 			cb(loc, block, analysis.Location{Func: loc.Func, Instr: int(int32(uint32(args[2])))})
 			return nil
-		}, false
+		}
 
-	case analysis.KindConst:
+	case analysis.KindConst, analysis.KindDrop:
 		cb := r.constHook
-		if !r.caps.Has(analysis.CapConst) {
-			return nopHook, true
+		if spec.Kind == analysis.KindDrop {
+			cb = r.drop
 		}
 		t := spec.Types[0]
 		return func(_ *interp.Instance, args []interp.Value) error {
@@ -224,27 +262,10 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 			}
 			cb(hookLoc(args), valueAt(args, 2, t))
 			return nil
-		}, false
-
-	case analysis.KindDrop:
-		cb := r.drop
-		if !r.caps.Has(analysis.CapDrop) {
-			return nopHook, true
 		}
-		t := spec.Types[0]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), valueAt(args, 2, t))
-			return nil
-		}, false
 
 	case analysis.KindSelect:
 		cb := r.selectHook
-		if !r.caps.Has(analysis.CapSelect) {
-			return nopHook, true
-		}
 		t := spec.Types[1]
 		o1, o2 := lay.Offs[1], lay.Offs[2]
 		return func(_ *interp.Instance, args []interp.Value) error {
@@ -253,13 +274,10 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 			}
 			cb(hookLoc(args), uint32(args[2]) != 0, valueAt(args, o1, t), valueAt(args, o2, t))
 			return nil
-		}, false
+		}
 
 	case analysis.KindUnary:
 		cb := r.unary
-		if !r.caps.Has(analysis.CapUnary) {
-			return nopHook, true
-		}
 		op := spec.OpName()
 		tIn, tOut := spec.Types[0], spec.Types[1]
 		oOut := lay.Offs[1]
@@ -269,13 +287,10 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 			}
 			cb(hookLoc(args), op, valueAt(args, 2, tIn), valueAt(args, oOut, tOut))
 			return nil
-		}, false
+		}
 
 	case analysis.KindBinary:
 		cb := r.binary
-		if !r.caps.Has(analysis.CapBinary) {
-			return nopHook, true
-		}
 		op := spec.OpName()
 		t0, t1, t2 := spec.Types[0], spec.Types[1], spec.Types[2]
 		o1, o2 := lay.Offs[1], lay.Offs[2]
@@ -285,12 +300,12 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 			}
 			cb(hookLoc(args), op, valueAt(args, 2, t0), valueAt(args, o1, t1), valueAt(args, o2, t2))
 			return nil
-		}, false
+		}
 
-	case analysis.KindLocal:
+	case analysis.KindLocal, analysis.KindGlobal:
 		cb := r.local
-		if !r.caps.Has(analysis.CapLocal) {
-			return nopHook, true
+		if spec.Kind == analysis.KindGlobal {
+			cb = r.global
 		}
 		op := spec.OpName()
 		t := spec.Types[1]
@@ -300,27 +315,12 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 			}
 			cb(hookLoc(args), op, uint32(args[2]), valueAt(args, 3, t))
 			return nil
-		}, false
-
-	case analysis.KindGlobal:
-		cb := r.global
-		if !r.caps.Has(analysis.CapGlobal) {
-			return nopHook, true
 		}
-		op := spec.OpName()
-		t := spec.Types[1]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op, uint32(args[2]), valueAt(args, 3, t))
-			return nil
-		}, false
 
-	case analysis.KindLoad:
+	case analysis.KindLoad, analysis.KindStore:
 		cb := r.load
-		if !r.caps.Has(analysis.CapLoad) {
-			return nopHook, true
+		if spec.Kind == analysis.KindStore {
+			cb = r.store
 		}
 		op := spec.OpName()
 		t := spec.Types[2]
@@ -332,65 +332,36 @@ func (r *Runtime) compileTrampoline(spec *core.HookSpec, lay core.ArgLayout) (fn
 				analysis.MemArg{Addr: uint32(args[3]), Offset: uint32(args[2])},
 				valueAt(args, 4, t))
 			return nil
-		}, false
-
-	case analysis.KindStore:
-		cb := r.store
-		if !r.caps.Has(analysis.CapStore) {
-			return nopHook, true
 		}
-		op := spec.OpName()
-		t := spec.Types[2]
-		return func(_ *interp.Instance, args []interp.Value) error {
-			if len(args) != arity {
-				return arityTrap(name, arity, len(args))
-			}
-			cb(hookLoc(args), op,
-				analysis.MemArg{Addr: uint32(args[3]), Offset: uint32(args[2])},
-				valueAt(args, 4, t))
-			return nil
-		}, false
 
 	case analysis.KindMemorySize:
 		cb := r.memSize
-		if !r.caps.Has(analysis.CapMemorySize) {
-			return nopHook, true
-		}
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
 				return arityTrap(name, arity, len(args))
 			}
 			cb(hookLoc(args), uint32(args[2]))
 			return nil
-		}, false
+		}
 
 	case analysis.KindMemoryGrow:
 		cb := r.memGrow
-		if !r.caps.Has(analysis.CapMemoryGrow) {
-			return nopHook, true
-		}
 		return func(_ *interp.Instance, args []interp.Value) error {
 			if len(args) != arity {
 				return arityTrap(name, arity, len(args))
 			}
 			cb(hookLoc(args), uint32(args[2]), uint32(args[3]))
 			return nil
-		}, false
+		}
 
 	case analysis.KindCall:
 		return r.callTrampoline(spec, lay)
 
 	case analysis.KindReturn:
-		cb := r.returnHook
-		if !r.caps.Has(analysis.CapReturn) {
-			return nopHook, true
-		}
-		return r.valuesTrampoline(name, arity, lay.Offs, spec.Types, cb), false
+		return r.valuesTrampoline(name, arity, lay.Offs, spec.Types, r.returnHook)
 	}
-
-	// Unknown kind (newer metadata than this runtime): bind to the no-op so
-	// the module still runs; nothing could be dispatched anyway.
-	return nopHook, true
+	// live rejected every kind not handled above.
+	return nopHook
 }
 
 // borrowValues is the single implementation of the borrowed-buffer checkout
@@ -427,20 +398,13 @@ func (r *Runtime) valuesTrampoline(name string, arity int, offs []int, ts []wasm
 
 // callTrampoline specializes the three call-hook shapes: call_post, direct
 // call_pre, and indirect call_pre (with table resolution, paper §2.3).
-func (r *Runtime) callTrampoline(spec *core.HookSpec, lay core.ArgLayout) (hookFn, bool) {
+func (r *Runtime) callTrampoline(spec *core.HookSpec, lay core.ArgLayout) hookFn {
 	arity := lay.Arity
 	name := spec.Name
 	if spec.Post {
-		cb := r.callPost
-		if !r.caps.Has(analysis.CapCallPost) {
-			return nopHook, true
-		}
-		return r.valuesTrampoline(name, arity, lay.Offs, spec.Types, cb), false
+		return r.valuesTrampoline(name, arity, lay.Offs, spec.Types, r.callPost)
 	}
 	cb := r.callPre
-	if !r.caps.Has(analysis.CapCallPre) {
-		return nopHook, true
-	}
 	// Types[0] is the i32 target (direct) or table index (indirect); the
 	// actual callee arguments follow.
 	offs, ts := lay.Offs[1:], spec.Types[1:]
@@ -454,34 +418,19 @@ func (r *Runtime) callTrampoline(spec *core.HookSpec, lay core.ArgLayout) (hookF
 				cb(hookLoc(args), int(int32(uint32(args[2]))), vs, -1)
 			})
 			return nil
-		}, false
+		}
 	}
-	meta := r.meta
 	return func(inst *interp.Instance, args []interp.Value) error {
 		if len(args) != arity {
 			return arityTrap(name, arity, len(args))
 		}
 		tblIdx := uint32(args[2])
-		// Resolve the runtime table index to the actually called function
-		// and map it back to the original index space. The instance making
-		// the call is preferred over the explicitly bound one, so hooks that
-		// fire during the start function resolve correctly without
-		// BindInstance having run.
-		ri := inst
-		if ri == nil {
-			ri = r.inst
-		}
-		target := -1
-		if ri != nil {
-			if fidx := ri.ResolveTable(tblIdx); fidx >= 0 {
-				target = meta.OriginalFuncIdx(int(fidx))
-			}
-		}
+		target := r.resolveIndirect(inst, tblIdx)
 		borrowValues(pool, n, args, offs, ts, func(vs []analysis.Value) {
 			cb(hookLoc(args), target, vs, int64(tblIdx))
 		})
 		return nil
-	}, false
+	}
 }
 
 // brTableTrampoline handles the one hook whose dispatch consults
@@ -490,26 +439,16 @@ func (r *Runtime) callTrampoline(spec *core.HookSpec, lay core.ArgLayout) (hookF
 func (r *Runtime) brTableTrampoline(name string, arity int) hookFn {
 	endCb := r.end
 	tableCb := r.brTable
-	meta := r.meta
 	pool := r.shared.Pool
 	return func(_ *interp.Instance, args []interp.Value) error {
 		if len(args) != arity {
 			return arityTrap(name, arity, len(args))
 		}
 		loc := hookLoc(args)
-		metaIdx := int(int32(uint32(args[2])))
 		idx := uint32(args[3])
-		if metaIdx < 0 || metaIdx >= len(meta.BrTables) {
-			return &interp.Trap{
-				Code: TrapInvalidMetadata,
-				Info: fmt.Sprintf("br_table metadata index %d out of range (have %d) at %v", metaIdx, len(meta.BrTables), loc),
-			}
-		}
-		info := &meta.BrTables[metaIdx]
-
-		taken := info.Default
-		if int(idx) < len(info.Targets) {
-			taken = info.Targets[idx]
+		info, taken, trap := r.brTableTaken(loc, int(int32(uint32(args[2]))), idx)
+		if trap != nil {
+			return trap
 		}
 		// Fire the end hooks of all blocks left by the taken branch.
 		if endCb != nil {

@@ -64,6 +64,6 @@ func (p *ValuePool) getTargets(n int) *brTargetBuf {
 
 func (p *ValuePool) putTargets(b *brTargetBuf) { p.brs.Put(b) }
 
-// defaultPool backs runtimes constructed without an engine (the deprecated
-// one-shot API and direct New callers).
+// defaultPool backs runtimes constructed without an engine (direct New
+// callers).
 var defaultPool ValuePool

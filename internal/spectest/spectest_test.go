@@ -7,9 +7,9 @@ import (
 	"wasabi"
 	"wasabi/internal/analyses"
 	"wasabi/internal/analysis"
-	"wasabi/internal/core"
 	"wasabi/internal/interp"
 	"wasabi/internal/validate"
+	"wasabi/internal/wasm"
 )
 
 // sortedInputs returns the case's inputs in ascending order so stateful
@@ -24,6 +24,20 @@ func sortedInputs(c Case) []int32 {
 }
 
 // TestCorpusOriginal checks the corpus against the interpreter directly.
+// analyzeHooks instruments m on a fresh engine for an explicit hook set and
+// binds a session for a.
+func analyzeHooks(m *wasm.Module, hooks analysis.HookSet, a any) (*wasabi.Session, error) {
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.InstrumentHooks(m, hooks)
+	if err != nil {
+		return nil, err
+	}
+	return compiled.NewSession(a)
+}
+
 func TestCorpusOriginal(t *testing.T) {
 	for _, c := range Corpus() {
 		c := c
@@ -61,8 +75,7 @@ func TestCorpusInstrumented(t *testing.T) {
 	for _, c := range Corpus() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			sess, err := wasabi.AnalyzeWithOptions(c.Module(), &analyses.Empty{},
-				core.Options{Hooks: analysis.AllHooks})
+			sess, err := analyzeHooks(c.Module(), analysis.AllHooks, &analyses.Empty{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,8 +119,7 @@ func TestCorpusPerHookInstrumented(t *testing.T) {
 					// top-level static elision tests.
 					continue
 				}
-				sess, err := wasabi.AnalyzeWithOptions(c.Module(), &analyses.Empty{},
-					core.Options{Hooks: analysis.Set(kind)})
+				sess, err := analyzeHooks(c.Module(), analysis.Set(kind), &analyses.Empty{})
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}

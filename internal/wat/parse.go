@@ -15,7 +15,11 @@ import (
 // export, and start. Folded instruction expressions are supported only for
 // the constant initializers of globals, elem, and data.
 func Parse(src string) (*wasm.Module, error) {
-	p := &parser{toks: lex(src)}
+	toks, err := lex(src)
+	if err != nil {
+		return nil, fmt.Errorf("wat: %w", err)
+	}
+	p := &parser{toks: toks}
 	m, err := p.module()
 	if err != nil {
 		return nil, fmt.Errorf("wat: %w", err)
@@ -31,7 +35,7 @@ type token struct {
 	pos  int
 }
 
-func lex(src string) []token {
+func lex(src string) ([]token, error) {
 	var toks []token
 	i := 0
 	for i < len(src) {
@@ -95,11 +99,14 @@ func lex(src string) []token {
 			for j < len(src) && !strings.ContainsRune(" \t\n\r()\";", rune(src[j])) {
 				j++
 			}
+			if j == i { // a ';' that starts neither ";;" nor "(;"
+				return nil, fmt.Errorf("unexpected ';' at offset %d", i)
+			}
 			toks = append(toks, token{kind: 'a', text: src[i:j], pos: i})
 			i = j
 		}
 	}
-	return toks
+	return toks, nil
 }
 
 // --- parser ---

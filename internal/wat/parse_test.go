@@ -8,6 +8,7 @@ import (
 	"wasabi/internal/analyses"
 	"wasabi/internal/interp"
 	"wasabi/internal/validate"
+	"wasabi/internal/wasm"
 	"wasabi/internal/wat"
 )
 
@@ -52,6 +53,20 @@ const factorialWat = `
   )
 )`
 
+// analyze instruments m on a fresh engine for the hooks a implements and
+// binds a session for a.
+func analyze(m *wasm.Module, a any) (*wasabi.Session, error) {
+	engine, err := wasabi.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := engine.InstrumentFor(m, a)
+	if err != nil {
+		return nil, err
+	}
+	return compiled.NewSession(a)
+}
+
 func TestParseAndRun(t *testing.T) {
 	m, err := wat.Parse(factorialWat)
 	if err != nil {
@@ -90,7 +105,7 @@ func TestParsedModuleInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix := analyses.NewInstructionMix()
-	sess, err := wasabi.Analyze(m, mix)
+	sess, err := analyze(m, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +195,9 @@ func TestParseErrors(t *testing.T) {
 		"unterminated":  "(module (func",
 		"bad field":     "(module (fnuc))",
 		"folded body":   "(module (func (result i32) (i32.const 1)))",
+		"lone semi":     ";",
+		"semi in field": "(module;)",
+		"semi in body":  "(module (func ;))",
 	}
 	for name, src := range cases {
 		if _, err := wat.Parse(src); err == nil {

@@ -47,8 +47,6 @@ package wasabi
 import (
 	"wasabi/internal/analysis"
 	"wasabi/internal/core"
-	"wasabi/internal/interp"
-	"wasabi/internal/wasm"
 )
 
 // Re-exported core types, so analyses and embedders only import this package.
@@ -100,59 +98,3 @@ type (
 	ReturnHooker      = analysis.ReturnHooker
 	StartHooker       = analysis.StartHooker
 )
-
-// Analyze instruments m selectively for the hooks the analysis implements
-// and binds a session for it on the shared default engine. Like every v2
-// path it instruments afresh per call (no caching, matching the v1 memory
-// behavior) and dispatches call/return hook vectors as BORROWED buffers —
-// a v1 analysis that retained them must now Clone (see the package comment).
-//
-// Deprecated: one-shot entry point kept for compatibility. Use an Engine so
-// instrumentation, analysis binding, and instantiation can be reused
-// independently: engine.Instrument(m, caps) once, then
-// compiled.NewSession(a) per analysis.
-func Analyze(m *wasm.Module, a any) (*Session, error) {
-	caps := CapsOf(a)
-	if caps == 0 {
-		return nil, errNoHooksFor(a)
-	}
-	return AnalyzeWithOptions(m, a, core.Options{Hooks: caps.HookSet()})
-}
-
-// AnalyzeWithOptions is Analyze with explicit instrumentation options (e.g.
-// forcing full instrumentation regardless of the analysis). It fails with
-// ErrNoHooks when the analysis implements no hook interface. Unlike
-// Engine.Instrument it honors every core.Options field and never caches:
-// each call runs the instrumenter afresh, exactly like the pre-Engine API.
-//
-// Deprecated: use Engine.InstrumentHooks (or Engine.Instrument with a Cap
-// mask) followed by CompiledAnalysis.NewSession.
-func AnalyzeWithOptions(m *wasm.Module, a any, opts core.Options) (*Session, error) {
-	compiled, err := DefaultEngine().instrumentUncached(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	// One-shot sessions link through a private registry, so named instances
-	// are released with the CompiledAnalysis instead of accumulating in the
-	// process-global default engine (matching the v1 lifetime semantics).
-	compiled.reg = interp.NewRegistry()
-	return compiled.NewSession(a)
-}
-
-// AnalyzeBytes is Analyze for a binary-encoded module. Never caches (see
-// Engine.InstrumentBytes).
-//
-// Deprecated: use Engine.InstrumentBytes followed by
-// CompiledAnalysis.NewSession.
-func AnalyzeBytes(wasmBytes []byte, a any) (*Session, error) {
-	caps := CapsOf(a)
-	if caps == 0 {
-		return nil, errNoHooksFor(a)
-	}
-	compiled, err := DefaultEngine().InstrumentBytes(wasmBytes, caps)
-	if err != nil {
-		return nil, err
-	}
-	compiled.reg = interp.NewRegistry() // private linking scope, like AnalyzeWithOptions
-	return compiled.NewSession(a)
-}
