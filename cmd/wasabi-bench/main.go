@@ -1,16 +1,12 @@
 // Command wasabi-bench regenerates the tables and figures of the paper's
 // evaluation section. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records a paper-vs-measured comparison.
+// reports; -ledger samples the benchmark table into BENCH_ledger.json.
 //
 // Usage:
 //
 //	wasabi-bench -experiment table4|rq2|table5|fig8|mono|fig9|all [-full]
-//	wasabi-bench -json BENCH_instrument.json -fig9 BENCH_fig9.json
+//	wasabi-bench -ledger BENCH_ledger.json   (sample the benchmark table)
 //	wasabi-bench -sessions N    (instrument once, N concurrent sessions)
-//	wasabi-bench -stream        (event-stream events/sec + batch-size sweep)
-//	wasabi-bench -fuel [-fig9 BENCH_fig9.json]   (metered vs unmetered Fig 9 kernel)
-//	wasabi-bench -fanout [-fig9 BENCH_fig9.json] (fan-out scaling + sink throughput)
-//	wasabi-bench -parallel [-json BENCH_instrument.json]  (instrumentation worker sweep)
 package main
 
 import (
@@ -27,42 +23,17 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale binary sizes (9.6 MB / 39.5 MB; slow)")
 	polyN := flag.Int("n", 0, "override PolyBench problem size")
 	reps := flag.Int("reps", 0, "override timing repetitions")
-	jsonOut := flag.String("json", "", "run the Table 5 / Fig 9 benchmarks and write machine-readable results (e.g. BENCH_instrument.json); skips the experiments")
-	fig9Out := flag.String("fig9", "", "write the interpreter's Fig 9 baseline + per-hook ratios (e.g. BENCH_fig9.json); skips the experiments; combines with -json")
+	ledger := flag.String("ledger", "", "sample every entry of the benchmark table and write the ledger (e.g. BENCH_ledger.json); skips the experiments")
 	sessions := flag.Int("sessions", 0, "instrument once and run N concurrent sessions off the one CompiledAnalysis; skips the experiments")
-	stream := flag.Bool("stream", false, "measure event-stream delivery (events/sec, batch-size sweep) on the Fig 9 workload; skips the experiments")
-	fuel := flag.Bool("fuel", false, "measure metered vs unmetered execution of the Fig 9 kernel (containment guard cost); skips the experiments")
-	fanout := flag.Bool("fanout", false, "measure fabric fan-out scaling and sink write/replay throughput on the Fig 9 workload; skips the experiments")
-	parallel := flag.Bool("parallel", false, "measure parallel-instrumentation scaling on the 1 MiB synthetic app; skips the experiments")
 	flag.Parse()
 
-	if *fanout {
-		if err := runFanout(*fig9Out); err != nil {
-			fmt.Fprintf(os.Stderr, "wasabi-bench: -fanout: %v\n", err)
-			os.Exit(1)
+	if *ledger != "" {
+		l, err := experiments.RunLedger(experiments.LedgerRuns, os.Stderr)
+		if err == nil {
+			err = l.WriteFile(*ledger)
 		}
-		return
-	}
-
-	if *parallel {
-		if err := runParallel(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "wasabi-bench: -parallel: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fuel {
-		if err := runFuel(*fig9Out); err != nil {
-			fmt.Fprintf(os.Stderr, "wasabi-bench: -fuel: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *stream {
-		if err := runStream(); err != nil {
-			fmt.Fprintf(os.Stderr, "wasabi-bench: -stream: %v\n", err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "wasabi-bench: -ledger: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -71,14 +42,6 @@ func main() {
 	if *sessions > 0 {
 		if err := runSessions(*sessions); err != nil {
 			fmt.Fprintf(os.Stderr, "wasabi-bench: -sessions: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut != "" || *fig9Out != "" {
-		if err := writeBenchJSON(*jsonOut, *fig9Out); err != nil {
-			fmt.Fprintf(os.Stderr, "wasabi-bench: -json/-fig9: %v\n", err)
 			os.Exit(1)
 		}
 		return

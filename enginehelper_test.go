@@ -32,18 +32,3 @@ func analyzeFor(tb testing.TB, m *wasm.Module, a any) *wasabi.Session {
 	}
 	return sess
 }
-
-// analyzeHooks instruments m on a fresh engine for an explicit hook set and
-// binds a session for a.
-func analyzeHooks(tb testing.TB, m *wasm.Module, hooks wasabi.HookSet, a any) *wasabi.Session {
-	tb.Helper()
-	compiled, err := mustEngine(tb).InstrumentHooks(m, hooks)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sess, err := compiled.NewSession(a)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sess
-}

@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"wasabi"
@@ -48,6 +49,10 @@ const fuelBudget = 1 << 16
 
 // traceHead bounds the per-request trace excerpt.
 const traceHead = 8
+
+// maxUploadBytes bounds an uploaded module: room for a real toolchain
+// binary (a Go wasip1 hello-world is ~2.4 MB), not for an unbounded read.
+const maxUploadBytes = 8 << 20
 
 // service is the shared state: one engine (so every tenant benefits from
 // the same instrumentation cache and containment config) and the uploaded
@@ -103,7 +108,12 @@ func (c *funcCoverage) Events(batch []analysis.Event) {
 }
 
 func (s *service) handleUpload(w http.ResponseWriter, req *http.Request) {
-	data, err := io.ReadAll(req.Body)
+	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxUploadBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -138,9 +148,12 @@ func (s *service) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	entry := req.URL.Query().Get("entry")
 	var args []interp.Value
 	if v := req.URL.Query().Get("arg"); v != "" {
-		var n int32
-		fmt.Sscanf(v, "%d", &n)
-		args = append(args, interp.I32(n))
+		n, err := strconv.ParseInt(v, 10, 32)
+		if err != nil {
+			http.Error(w, "arg: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		args = append(args, interp.I32(int32(n)))
 	}
 	reply, err := s.analyze(compiled, id, entry, args)
 	if err != nil {
@@ -356,6 +369,31 @@ func main() {
 	spin := upload(spinModule())
 	fmt.Printf("uploaded %s (%d funcs) and %s (%d funcs) to the shared engine\n",
 		work.ID, work.Funcs, spin.ID, spin.Funcs)
+
+	// Untrusted input is refused with a client error, never read unbounded
+	// or run with a made-up argument.
+	status := func(url string, body []byte) int {
+		resp, err := http.Post(url, "application/wasm", bytes.NewReader(body))
+		if err != nil {
+			log.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, c := range []struct {
+		what string
+		got  int
+		want int
+	}{
+		{"oversized upload", status(base+"/modules", make([]byte, maxUploadBytes+1)), http.StatusRequestEntityTooLarge},
+		{"garbage upload", status(base+"/modules", []byte("not a wasm module")), http.StatusUnprocessableEntity},
+		{"arg=x", status(base+"/modules/"+work.ID+"/analyze?entry=main&arg=x", nil), http.StatusBadRequest},
+	} {
+		if c.got != c.want {
+			log.Fatalf("%s: status %d, want %d", c.what, c.got, c.want)
+		}
+	}
+	fmt.Println("malformed input refused: oversized upload 413, garbage upload 422, arg=x 400")
 
 	// Tenant 1: real work. sum(i^2, i<10) = 285, observed by all four
 	// subscribers, with the durable copy replaying to the same record count.

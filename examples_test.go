@@ -57,6 +57,7 @@ func TestExamples(t *testing.T) {
 			"callback and stream traces match (148 events)",
 		}},
 		{"analysis-service", []string{
+			"malformed input refused: oversized upload 413, garbage upload 422, arg=x 400",
 			"tenant m1: main(10) = 285, 229 instructions over 2 funcs",
 			"durable replay matches (285 records)",
 			"runaway tenant contained: fuel exhausted",

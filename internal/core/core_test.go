@@ -438,3 +438,22 @@ func TestModuleInfoMatchesModule(t *testing.T) {
 		}
 	}
 }
+
+// TestNameOfMissingFunctionDropped instruments a module whose name section
+// names a function index past the last function (found by FuzzUpload):
+// the stray name is dropped and the real one follows its function.
+func TestNameOfMissingFunctionDropped(t *testing.T) {
+	b := builder.New()
+	f := b.Func("main", nil, nil)
+	f.Op(wasm.OpNop)
+	f.Done()
+	m := b.Build()
+	m.FuncNames = map[uint32]string{0: "main", 48: "ghost"}
+	out, md, err := Instrument(m, Options{Hooks: analysis.AllHooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx := uint32(len(md.Hooks)); len(out.FuncNames) != 1 || out.FuncNames[idx] != "main" {
+		t.Errorf("FuncNames = %v, want only %d: main", out.FuncNames, idx)
+	}
+}

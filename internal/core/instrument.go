@@ -207,7 +207,12 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 	if len(out.FuncNames) > 0 {
 		names := make(map[uint32]string, len(out.FuncNames))
 		for idx, name := range out.FuncNames {
-			names[remap(idx)] = name
+			// The name section is an unvalidated custom section: a name for
+			// a function that does not exist is dropped, not remapped into
+			// the hook range.
+			if idx < base {
+				names[remap(idx)] = name
+			}
 		}
 		out.FuncNames = names
 	}

@@ -2,9 +2,11 @@
 // evaluation (Section 4): Table 4 (analyses and their size), the RQ2
 // faithfulness check, Table 5 (instrumentation time and throughput),
 // Figure 8 (code-size increase per hook), the §4.5 on-demand
-// monomorphization counts, and Figure 9 (runtime overhead per hook). The
-// cmd/wasabi-bench binary and the repository benchmarks are thin wrappers
-// around this package.
+// monomorphization counts, and Figure 9 (runtime overhead per hook). It
+// also holds the benchmark table (Benches, bench.go): every micro-benchmark
+// behind those numbers, written once, and the ledger that samples it
+// (ledger.go). cmd/wasabi-bench, the repository benchmarks and the Fig 9
+// guards are thin wrappers around this package.
 package experiments
 
 import (
@@ -71,14 +73,19 @@ type Workload struct {
 func PolyBenchWorkloads(n int32) []Workload {
 	var out []Workload
 	for _, k := range polybench.Kernels() {
-		m := k.Module(n)
-		data, err := binary.Encode(m)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, Workload{Name: k.Name, Mod: m, Bytes: data})
+		out = append(out, polyBenchWorkload(k, n))
 	}
 	return out
+}
+
+// polyBenchWorkload builds one kernel at problem size n.
+func polyBenchWorkload(k polybench.Kernel, n int32) Workload {
+	m := k.Module(n)
+	data, err := binary.Encode(m)
+	if err != nil {
+		panic(err)
+	}
+	return Workload{Name: k.Name, Mod: m, Bytes: data}
 }
 
 // AppWorkload builds one synthetic application of the given size.

@@ -106,4 +106,10 @@ func TestStats(t *testing.T) {
 	if m, s := meanStd(nil); m != 0 || s != 0 {
 		t.Error("empty meanStd")
 	}
+	if r := summarize([]float64{5, 1, 4, 2, 3}); r != (Row{Median: 3, P25: 2, P75: 4, Min: 1, N: 5}) {
+		t.Errorf("summarize = %+v", r)
+	}
+	if r := summarize([]float64{4, 2}); r != (Row{Median: 3, P25: 2.5, P75: 3.5, Min: 2, N: 2}) {
+		t.Errorf("summarize = %+v", r)
+	}
 }
