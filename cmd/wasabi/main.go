@@ -47,7 +47,7 @@ func main() {
 	hooks := flag.String("hooks", "all", "comma-separated hook kinds to instrument, or \"all\"")
 	out := flag.String("o", "", "output file (default: <input>.instrumented.wasm)")
 	metaOut := flag.String("meta", "", "metadata JSON file (default: <input>.wasabi.json)")
-	par := flag.Int("p", 0, "instrumentation parallelism (0 = GOMAXPROCS)")
+	par := flag.Int("p", 0, "instrumentation workers, 0 = GOMAXPROCS (bounds instrumentation only; encoding uses GOMAXPROCS)")
 	check := flag.Bool("validate", true, "validate the instrumented output")
 	inspect := flag.Bool("inspect", false, "print the static-analysis report instead of instrumenting")
 	diffMode := flag.Bool("diff", false, "run the differential-execution matrix instead of instrumenting")

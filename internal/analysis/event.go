@@ -79,9 +79,6 @@ type Event struct {
 // Loc returns the event's location.
 func (e *Event) Loc() Location { return Location{Func: int(e.Func), Instr: int(e.Instr)} }
 
-// NumVals returns how many Vals slots of this record are occupied.
-func (e *Event) NumVals() int { return int(e.Pack & 3) }
-
 // Val decodes occupied slot i into a typed Value using the record's packed
 // type tag.
 func (e *Event) Val(i int) Value {

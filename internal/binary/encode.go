@@ -9,6 +9,7 @@ import (
 
 	"wasabi/internal/leb128"
 	"wasabi/internal/wasm"
+	"wasabi/internal/workpool"
 )
 
 // Magic and version header of every wasm binary.
@@ -34,7 +35,11 @@ const (
 // bodies are assembled first and the output buffer is then allocated at its
 // exact final size, so serializing even a large (instrumented) module
 // performs no buffer regrowth.
-func Encode(m *wasm.Module) ([]byte, error) {
+func Encode(m *wasm.Module) ([]byte, error) { return encode(m, 0) }
+
+// encode is Encode with the code section encoded on the given number of
+// workers (0 means GOMAXPROCS).
+func encode(m *wasm.Module, workers int) ([]byte, error) {
 	type section struct {
 		id   byte
 		body []byte
@@ -84,7 +89,7 @@ func Encode(m *wasm.Module) ([]byte, error) {
 		add(secElem, b)
 	}
 	if len(m.Funcs) > 0 {
-		b, err := encodeCode(m)
+		b, err := encodeCode(m, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -273,35 +278,63 @@ func encodeDatas(m *wasm.Module) ([]byte, error) {
 	return b, nil
 }
 
-// encodeCode serializes the code section. A cheap measure pass computes the
-// exact encoded size of every function body first, so the section buffer is
-// allocated once at its final size and each body is encoded directly into it
-// (no per-function staging buffer, no regrowth).
-func encodeCode(m *wasm.Module) ([]byte, error) {
-	total := leb128.SizeU32(uint32(len(m.Funcs)))
-	sizes := make([]int, len(m.Funcs))
-	for i := range m.Funcs {
-		f := &m.Funcs[i]
-		n, err := funcBodySize(f)
-		if err != nil {
-			return nil, fmt.Errorf("binary: function %d: %w", i, err)
-		}
-		sizes[i] = n
-		total += leb128.SizeU32(uint32(n)) + n
+// encodeCode serializes the code section on the per-function worker pool
+// (workpool.Run; workers 0 means GOMAXPROCS, capped at the function count).
+// A cheap measure pass computes the exact encoded size of every function body
+// first; the offsets are then fixed serially, so the section buffer is
+// allocated once at its final size and each body is encoded straight into its
+// own region of it (no per-function staging buffer, no regrowth). The output
+// does not depend on the width, and on failure the error of the
+// lowest-indexed failing function is returned.
+func encodeCode(m *wasm.Module, workers int) ([]byte, error) {
+	n := len(m.Funcs)
+	sizes := make([]int, n)
+	errs := make([]error, n)
+	workpool.Run(workers, n, nil, nil, func(_ struct{}, i int) {
+		sizes[i], errs[i] = funcBodySize(&m.Funcs[i])
+	})
+	if err := firstFuncErr(errs); err != nil {
+		return nil, err
 	}
-	b := make([]byte, 0, total)
-	b = leb128.AppendU32(b, uint32(len(m.Funcs)))
-	for i := range m.Funcs {
-		f := &m.Funcs[i]
-		b = leb128.AppendU32(b, uint32(sizes[i]))
-		b = appendLocals(b, f.Locals)
-		var err error
-		b, err = appendInstrs(b, f.Body, f.BrTargets)
-		if err != nil {
-			return nil, fmt.Errorf("binary: function %d: %w", i, err)
+	total := leb128.SizeU32(uint32(n))
+	for _, size := range sizes {
+		total += leb128.SizeU32(uint32(size)) + size
+	}
+	b := make([]byte, total)
+	offs := make([]int, n)
+	off := len(leb128.AppendU32(b[:0], uint32(n)))
+	for i, size := range sizes {
+		off += len(leb128.AppendU32(b[off:off], uint32(size)))
+		offs[i] = off
+		off += size
+	}
+	workpool.Run(workers, n, nil, nil, func(_ struct{}, i int) {
+		// The region is capped at the measured size: a body that encodes
+		// longer than measured reallocates instead of overwriting its
+		// neighbour, and the length check below reports it.
+		f, off, size := &m.Funcs[i], offs[i], sizes[i]
+		body := appendLocals(b[off:off:off+size], f.Locals)
+		body, err := appendInstrs(body, f.Body, f.BrTargets)
+		if err == nil && len(body) != size {
+			err = fmt.Errorf("encoded %d bytes, measured %d", len(body), size)
 		}
+		errs[i] = err
+	})
+	if err := firstFuncErr(errs); err != nil {
+		return nil, err
 	}
 	return b, nil
+}
+
+// firstFuncErr returns the error of the lowest-indexed function in errs, so
+// a failing encode reports the same function at every width.
+func firstFuncErr(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("binary: function %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // localRuns calls fn once per run of the run-length encoding of locals.

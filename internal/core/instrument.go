@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"wasabi/internal/analysis"
 	"wasabi/internal/validate"
 	"wasabi/internal/wasm"
+	"wasabi/internal/workpool"
 )
 
 // ErrHookNamespaceImport reports an input module that imports from the
@@ -98,46 +96,18 @@ func Instrument(m *wasm.Module, opts Options) (*wasm.Module, *Metadata, error) {
 	}
 	results := make([]result, len(m.Funcs))
 
-	// Fan out over a fixed-size worker pool instead of a goroutine per
-	// function: each worker owns one pooled instrumenter whose buffers are
-	// reused across all functions it processes. Results are written by
-	// function index and hook ordering is finalized by name below, so the
-	// output is byte-identical regardless of scheduling (including par == 1).
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(m.Funcs) {
-		par = len(m.Funcs)
-	}
-	work := func(fi *funcInstrumenter, next *atomic.Int64) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(m.Funcs) {
-				return
-			}
+	// Fan out over the per-function worker pool: each worker owns one pooled
+	// instrumenter whose buffers are reused across all functions it
+	// processes. Results are written by function index and hook ordering is
+	// finalized by name below, so the output is byte-identical regardless of
+	// scheduling (including Parallelism 1).
+	workpool.Run(opts.Parallelism, len(m.Funcs),
+		func() *funcInstrumenter { return acquireInstrumenter(m, ix, opts.Hooks, hooks) },
+		releaseInstrumenter,
+		func(fi *funcInstrumenter, i int) {
 			body, locals, brs, calls, err := fi.instrumentFunc(i, i == startDefined, brBase[i], opts.Plan)
 			results[i] = result{body, locals, brs, calls, err}
-		}
-	}
-	var next atomic.Int64
-	if par <= 1 {
-		fi := acquireInstrumenter(m, ix, opts.Hooks, hooks)
-		work(fi, &next)
-		releaseInstrumenter(fi)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fi := acquireInstrumenter(m, ix, opts.Hooks, hooks)
-				work(fi, &next)
-				releaseInstrumenter(fi)
-			}()
-		}
-		wg.Wait()
-	}
+		})
 
 	brTables := make([]BrTableInfo, totalBrTables)
 	for i := range results {

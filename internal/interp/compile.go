@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"wasabi/internal/wasm"
+	"wasabi/internal/workpool"
 )
 
 // iop is an internal threaded-code opcode.
@@ -254,6 +255,40 @@ type compileBuffers struct {
 }
 
 var compileBufPool = sync.Pool{New: func() any { return new(compileBuffers) }}
+
+// lowerFuncs lowers every defined function of m on the per-function worker
+// pool (workpool.Run; workers 0 means GOMAXPROCS, capped at the function
+// count). Each worker lowers into its own pooled compileBuffers and every
+// compiled function lands in the slot of its defined index, so the result
+// does not depend on the width. On failure the error of the lowest-indexed
+// failing function is returned.
+func lowerFuncs(m *wasm.Module, hosts []*HostFunc, cfg *Config, workers int) ([]*compiledFunc, error) {
+	ix := m.IndexSpace()
+	code := make([]*compiledFunc, len(m.Funcs))
+	errs := make([]error, len(m.Funcs))
+	workpool.Run(workers, len(m.Funcs),
+		func() *compileBuffers { return compileBufPool.Get().(*compileBuffers) },
+		func(buf *compileBuffers) { compileBufPool.Put(buf) },
+		func(buf *compileBuffers, i int) {
+			f := &m.Funcs[i]
+			if int(f.TypeIdx) >= len(m.Types) {
+				errs[i] = fmt.Errorf("interp: function %d type index out of range", i)
+				return
+			}
+			cf, err := compileFunc(ix, m.Types[f.TypeIdx], f, hosts, cfg, buf)
+			if err != nil {
+				errs[i] = fmt.Errorf("interp: function %d: %w", i, err)
+				return
+			}
+			code[i] = cf
+		})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return code, nil
+}
 
 // compileFunc lowers one function body into the threaded-code form. It
 // rejects structurally broken bodies (unbalanced control, operand underflow,

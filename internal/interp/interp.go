@@ -289,19 +289,12 @@ func InstantiateWith(reg *Registry, name string, m *wasm.Module, imports Imports
 	for i := range inst.funcs {
 		hosts[i] = inst.funcs[i].host
 	}
-	ix := m.IndexSpace()
-	buf := compileBufPool.Get().(*compileBuffers)
-	defer compileBufPool.Put(buf)
-	for i := range m.Funcs {
-		f := &m.Funcs[i]
-		if int(f.TypeIdx) >= len(m.Types) {
-			return nil, fmt.Errorf("interp: function %d type index out of range", i)
-		}
-		cf, err := compileFunc(ix, m.Types[f.TypeIdx], f, hosts, &cfg, buf)
-		if err != nil {
-			return nil, fmt.Errorf("interp: function %d: %w", i, err)
-		}
-		inst.funcs = append(inst.funcs, funcInst{typeIdx: f.TypeIdx, code: cf})
+	code, err := lowerFuncs(m, hosts, &cfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	for i, cf := range code {
+		inst.funcs = append(inst.funcs, funcInst{typeIdx: m.Funcs[i].TypeIdx, code: cf})
 	}
 
 	// Defined table and memory, bounded by the configured caps: a declared

@@ -29,24 +29,6 @@ func NewRegistry() *Registry {
 	return &Registry{instances: make(map[string]*Instance)}
 }
 
-// Register adds a fully instantiated instance under name. It fails if the
-// name is already taken (or reserved by an in-flight InstantiateIn).
-func (r *Registry) Register(name string, inst *Instance) error {
-	if name == "" {
-		return fmt.Errorf("interp: cannot register an instance under the empty name")
-	}
-	if inst == nil {
-		return fmt.Errorf("interp: cannot register a nil instance as %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, taken := r.instances[name]; taken {
-		return fmt.Errorf("interp: instance name %q already registered", name)
-	}
-	r.instances[name] = inst
-	return nil
-}
-
 // Lookup returns the instance registered under name.
 func (r *Registry) Lookup(name string) (*Instance, bool) {
 	r.mu.Lock()

@@ -42,14 +42,6 @@ type CFG struct {
 	blockAt []int
 }
 
-// BlockOf returns the id of the block containing instruction i, or -1.
-func (g *CFG) BlockOf(i int) int {
-	if i < 0 || i >= len(g.blockAt) {
-		return -1
-	}
-	return g.blockAt[i]
-}
-
 // NumReachable counts the blocks reachable from the entry.
 func (g *CFG) NumReachable() int {
 	n := 0

@@ -83,24 +83,3 @@ func dominators(g *CFG) []int {
 	}
 	return idom
 }
-
-// Dominates reports whether block a dominates block b (both must be
-// reachable; every block dominates itself).
-func (g *CFG) Dominates(a, b int) bool {
-	if a < 0 || b < 0 || a >= len(g.Blocks) || b >= len(g.Blocks) ||
-		!g.Reachable[a] || !g.Reachable[b] {
-		return false
-	}
-	for {
-		if b == a {
-			return true
-		}
-		if b == 0 {
-			return false
-		}
-		b = g.Idom[b]
-		if b < 0 {
-			return false
-		}
-	}
-}

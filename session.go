@@ -184,6 +184,3 @@ func (s *Session) Metadata() *core.Metadata { return s.compiled.meta }
 
 // Info returns the static module information analyses receive.
 func (s *Session) Info() *ModuleInfo { return &s.compiled.meta.Info }
-
-// EncodedModule returns the instrumented module in the binary format.
-func (s *Session) EncodedModule() ([]byte, error) { return s.compiled.Encode() }
